@@ -230,10 +230,10 @@ class Engine {
     failure_hooks_.push_back(std::move(hook));
   }
 
-  /// Declares that PE/node kills are scheduled for this run (set by
-  /// FaultInjector::arm before launch). Runtimes consult kills_armed() to
-  /// enable their failure-recovery protocols; without armed kills they keep
-  /// the original fast paths, so fault-free runs stay bit-identical.
+  /// Declares that PE/node kills (or partitions) are scheduled for this run
+  /// (set by FaultInjector::arm before launch). Runtimes consult
+  /// kills_armed() to pick their robust lock layouts; without armed kills
+  /// they keep the original ones, so fault-free runs stay bit-identical.
   void arm_kills() { kills_armed_ = true; }
   bool kills_armed() const { return kills_armed_; }
 

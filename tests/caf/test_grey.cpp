@@ -32,14 +32,6 @@ caf::Team full_team(int images) {
   return t;
 }
 
-std::uint64_t sum_counter(int images, const char* name) {
-  std::uint64_t total = 0;
-  for (int pe = 0; pe < images; ++pe) {
-    total += obs::registry().counter(pe, name);
-  }
-  return total;
-}
-
 }  // namespace
 
 // A partition that heals inside the suspicion grace window: collectives
@@ -52,6 +44,7 @@ TEST(GreyCollectives, CompleteAcrossHealablePartition) {
   plan.with_seed(0xC1);
   plan.partition_nodes({1}, 200'000, 500'000);
   Harness h(Stack::kShmemCray, images, {}, 2 << 20, plan);
+  std::uint64_t inter_node = 0;
   h.run([&] {
     auto& rt = h.rt();
     const int me = rt.this_image();
@@ -67,6 +60,7 @@ TEST(GreyCollectives, CompleteAcrossHealablePartition) {
       EXPECT_EQ(v, static_cast<std::int64_t>(images) * (images + 1) / 2);
     }
     EXPECT_EQ(rt.failed_images().size(), 0u);
+    inter_node += rt.coll_engine()->telemetry().inter_node_msgs;
   });
   // The membership view never changed across the cut. (Suspicion dynamics
   // are unit-tested on a quiet rig; here piggybacked liveness evidence from
@@ -77,9 +71,8 @@ TEST(GreyCollectives, CompleteAcrossHealablePartition) {
   EXPECT_EQ(obs::registry().counter(0, "fd.declared"), 0u);
   EXPECT_EQ(obs::registry().counter(0, "fd.false_positives"), 0u);
   EXPECT_GT(h.injector()->counters().partition_drops, 0u);  // cut was real
-  // And the collectives actually exercised the tree distribution path.
-  EXPECT_GT(sum_counter(images, "coll.tree_recv"), 0u);
-  EXPECT_GT(sum_counter(images, "coll.tree_push"), 0u);
+  // And the collectives engine's messages actually crossed the cut.
+  EXPECT_GT(inter_node, 0u);
 }
 
 // A kill mid-collective: survivors keep completing rounds, see
@@ -129,6 +122,8 @@ TEST(GreyCollectives, KillConvergesOnDetectorVerdictAndTreeReforms) {
                 caf::kStatOk);
       EXPECT_EQ(payload, 70 + k);
     }
+    // The survivor tree was re-formed from the new membership epoch.
+    EXPECT_GE(rt.coll_engine()->telemetry().team_plan_rebuilds, 1u);
   });
   // The declaration came from the detector, after the kill.
   ASSERT_EQ(h.engine().declared_count(), 1);
