@@ -202,6 +202,9 @@ class RpcEngine {
   /// while parked, a sender's doorbell completion drains the mailbox from
   /// scheduler context so requests don't wait out the block.
   void set_parked(int image, bool on);
+  bool parked(int image) const {
+    return per_[static_cast<std::size_t>(image)].parked;
+  }
 
   /// Fails every outstanding request of `image` whose target is declared
   /// failed (kStatFailedImage through the future). Returns how many.
