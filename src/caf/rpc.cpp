@@ -1,6 +1,7 @@
 #include "caf/rpc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -84,7 +85,11 @@ RpcEngine::RpcEngine(Runtime& rt, const RpcOptions& opts)
       am_ = is_gasnet;
       break;
   }
-  per_.resize(static_cast<std::size_t>(conduit_.nranks()));
+  const auto n = static_cast<std::size_t>(conduit_.nranks());
+  per_.resize(n);
+  // Sized here rather than in init_symmetric: a sender marks the target's
+  // set, and the target may not have reached its own init yet.
+  for (PerPe& st : per_) st.cand.assign((n + 63) / 64, 0);
 }
 
 RpcEngine::~RpcEngine() = default;
@@ -113,6 +118,8 @@ void RpcEngine::init_symmetric() {
   PerPe& st = per_[static_cast<std::size_t>(me)];
   st.sent.assign(static_cast<std::size_t>(n), 0);
   st.consumed.assign(static_cast<std::size_t>(n), 0);
+  st.put_target = -1;
+  st.stage.assign(opts_.slot_bytes, std::byte{0});
   auto& reg = obs::registry();
   st.c_sent = &reg.counter(me, "rpc.sent");
   st.c_ff = &reg.counter(me, "rpc.ff_sent");
@@ -277,9 +284,12 @@ void RpcEngine::mailbox_send(int me, int target0,
     // doorbell completions did nothing), so parking without draining
     // would strand them — and deadlock two mutually-flooding images.
     drain(me, /*fiber=*/true, 0);
-    if (seq > static_cast<std::uint64_t>(read_acked()) + k) {
+    // Any image's declaration wakes the wait early; unless the target is
+    // the one declared, wait again: putting now would overwrite a slot the
+    // target has not served.
+    const auto need = static_cast<std::int64_t>(seq - k);
+    while (seq > static_cast<std::uint64_t>(read_acked()) + k) {
       st.parked = true;
-      const auto need = static_cast<std::int64_t>(seq - k);
       (void)rt_.wait_fault(ack_cell, Cmp::kGe, need);
       st.parked = false;
       if (conduit_.engine().pe_declared(target0)) {
@@ -294,32 +304,56 @@ void RpcEngine::mailbox_send(int me, int target0,
   // always finds a fully-delivered request.
   rpc_detail::SlotHeader wire = hdr;
   wire.seq = seq;
-  std::vector<std::byte> buf(kHeaderBytes + hdr.bytes);
-  std::memcpy(buf.data(), &wire, kHeaderBytes);
-  if (hdr.bytes != 0) std::memcpy(buf.data() + kHeaderBytes, blob, hdr.bytes);
+  std::byte* buf = st.stage.data();
+  std::memcpy(buf, &wire, kHeaderBytes);
+  if (hdr.bytes != 0) std::memcpy(buf + kHeaderBytes, blob, hdr.bytes);
   // Slot indexing is [src][slot] in the *target's* ring area, so the source
   // rank (me) picks the row at the destination.
   const std::uint64_t dst_off =
       mbox_off_ + (static_cast<std::uint64_t>(me) * k + (seq - 1) % k) *
                       opts_.slot_bytes;
-  conduit_.put(target0, dst_off, buf.data(), buf.size(), /*nbi=*/false);
-  conduit_.quiet();
-  st.sent[static_cast<std::size_t>(target0)] = seq;
+  // Join the target's candidate set before the put is issued: the payload
+  // can land, and a drain started by another doorbell can find it, before
+  // this image's quiet returns. The in-flight marker keeps the bit alive
+  // until the target has consumed this sequence.
+  PerPe& ts = per_[static_cast<std::size_t>(target0)];
+  ts.cand[static_cast<std::size_t>(me) / 64] |= std::uint64_t{1} << (me % 64);
+  st.put_target = target0;
+  st.put_seq = seq;
   sim::Engine& eng = conduit_.engine();
+  // How far this send got, for the unwind paths below.
+  enum class Stage { kPut, kWire, kBell } stage = Stage::kPut;
+  try {
+    conduit_.put(target0, dst_off, buf, kHeaderBytes + hdr.bytes,
+                 /*nbi=*/false);
+    stage = Stage::kWire;
+    conduit_.quiet();
+    st.sent[static_cast<std::size_t>(target0)] = seq;
+    if (conduit_.native_amo()) {
+      stage = Stage::kBell;
+      (void)conduit_.amo_fadd(target0, bell_off_, 1);
+    }
+  } catch (const fabric::PeerFailedError&) {
+    if (stage == Stage::kPut) {
+      st.put_target = -1;  // declined by the transport: nothing lands
+    } else {
+      ++ts.lost_signals;  // the slot landed; its fetch-add never executed
+    }
+    throw;
+  } catch (...) {
+    // Killed (the fiber unwinds). An accepted put lands regardless, so the
+    // marker stays; so does an issued fetch-add, but a bump not yet issued
+    // never comes.
+    if (stage != Stage::kBell) ++ts.lost_signals;
+    throw;
+  }
   if (conduit_.native_amo()) {
-    (void)conduit_.amo_fadd(target0, bell_off_, 1);
     // The fetch-add has returned, so the bump has landed at the target. A
     // target parked at a progress point cannot poll — drain it from the
     // event loop (this is the "no progress thread" substitute: the signal
     // completion itself carries the progress obligation).
-    eng.schedule(eng.now(), [this, target0]() {
-      PerPe& ts = per_[static_cast<std::size_t>(target0)];
-      sim::Engine& e = conduit_.engine();
-      if (ts.parked && !e.pe_failed(target0)) {
-        ++*ts.c_parked_drains;
-        drain(target0, /*fiber=*/false, e.sim_now());
-      }
-    });
+    eng.schedule_raw(eng.now(), &RpcEngine::parked_drain_event, this,
+                     static_cast<std::uint64_t>(target0));
   } else {
     // Emulated AMOs (ARMCI's mutex-hosted get/put Rmw) span several fabric
     // events, so they race with the single-event scheduler pokes the
@@ -332,18 +366,33 @@ void RpcEngine::mailbox_send(int me, int target0,
     const net::PutCompletion pc = d->fabric().submit_reply(
         me, target0, sizeof(std::int64_t), conduit_.sw(), eng.now());
     if (pc.ok) {
-      eng.schedule(pc.delivered, [this, target0]() {
-        sim::Engine& e = conduit_.engine();
-        if (e.pe_failed(target0)) return;
-        bump_bell(target0, e.sim_now());
-        PerPe& ts = per_[static_cast<std::size_t>(target0)];
-        if (ts.parked) {
-          ++*ts.c_parked_drains;
-          drain(target0, /*fiber=*/false, e.sim_now());
-        }
-      });
+      eng.schedule_raw(pc.delivered, &RpcEngine::signal_event, this,
+                       static_cast<std::uint64_t>(target0));
+    } else {
+      ++ts.lost_signals;
     }
   }
+}
+
+void RpcEngine::parked_drain_event(void* ctx, std::uint64_t target0,
+                                   std::uint64_t) {
+  auto* self = static_cast<RpcEngine*>(ctx);
+  const int t = static_cast<int>(target0);
+  PerPe& ts = self->per_[target0];
+  sim::Engine& e = self->conduit_.engine();
+  if (ts.parked && !e.pe_failed(t)) {
+    ++*ts.c_parked_drains;
+    self->drain(t, /*fiber=*/false, e.sim_now());
+  }
+}
+
+void RpcEngine::signal_event(void* ctx, std::uint64_t target0,
+                             std::uint64_t) {
+  auto* self = static_cast<RpcEngine*>(ctx);
+  sim::Engine& e = self->conduit_.engine();
+  if (e.pe_failed(static_cast<int>(target0))) return;
+  self->bump_bell(static_cast<int>(target0), e.sim_now());
+  parked_drain_event(ctx, target0, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,10 +411,15 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
   while (progressed) {
     progressed = false;
     const std::int64_t bell = read_bell(t);
-    if (static_cast<std::uint64_t>(bell) <= st.handled + st.replies_seen) {
+    if (static_cast<std::uint64_t>(bell) + st.lost_signals <=
+        st.handled + st.replies_seen) {
       break;  // every signaled request/reply already processed
     }
-    for (int s = 0; s < n; ++s) {
+    // Ascending candidate sources, looked up afresh at each step so a
+    // source that arrives mid-pass is met exactly where a scan of all n
+    // rings would meet it.
+    for (int s = next_candidate(st, 0); s < n;
+         s = next_candidate(st, s + 1)) {
       bool any = false;
       while (true) {
         const std::uint64_t next = st.consumed[static_cast<std::size_t>(s)] + 1;
@@ -376,18 +430,18 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
         rpc_detail::SlotHeader hdr;
         std::memcpy(&hdr, seg + slot_off, kHeaderBytes);
         if (hdr.seq != next) break;
-        std::vector<std::byte> payload(hdr.bytes);
         if (hdr.bytes != 0) {
-          std::memcpy(payload.data(), seg + slot_off + kHeaderBytes,
+          std::memcpy(st.stage.data(), seg + slot_off + kHeaderBytes,
                       hdr.bytes);
         }
         st.consumed[static_cast<std::size_t>(s)] = next;
         ++st.handled;
         ++*st.c_handled;
-        exec_request(t, s, hdr, payload.data(), fiber, at);
+        exec_request(t, s, hdr, st.stage.data(), fiber, at);
         any = true;
         progressed = true;
       }
+      retire_candidate(t, s);
       if (any) {
         const sim::Time ack_at =
             fiber ? conduit_.engine().now() : std::max(at, st.proc_free);
@@ -397,6 +451,28 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
     }
   }
   st.draining = false;
+}
+
+int RpcEngine::next_candidate(const PerPe& st, int from) const {
+  const int n = conduit_.nranks();
+  if (from >= n) return n;
+  auto w = static_cast<std::size_t>(from) / 64;
+  std::uint64_t bits = st.cand[w] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++w == st.cand.size()) return n;
+    bits = st.cand[w];
+  }
+  return static_cast<int>(w * 64) + std::countr_zero(bits);
+}
+
+void RpcEngine::retire_candidate(int t, int s) {
+  const PerPe& src = per_[static_cast<std::size_t>(s)];
+  PerPe& st = per_[static_cast<std::size_t>(t)];
+  const std::uint64_t c = st.consumed[static_cast<std::size_t>(s)];
+  if (c < src.sent[static_cast<std::size_t>(t)]) return;  // landed, unread
+  if (src.put_target == t && c < src.put_seq) return;     // still in flight
+  st.cand[static_cast<std::size_t>(s) / 64] &=
+      ~(std::uint64_t{1} << (s % 64));
 }
 
 void RpcEngine::exec_request(int t, int src,
@@ -482,19 +558,27 @@ void RpcEngine::send_ack(int t, int src, std::uint64_t consumed,
   const net::PutCompletion pc = d->fabric().submit_reply(
       t, src, sizeof(std::int64_t), conduit_.sw(), at);
   if (!pc.ok) return;
-  sim::Engine& eng = conduit_.engine();
-  const std::uint64_t cell = ack_off_ + static_cast<std::uint64_t>(t) * 8;
-  const auto val = static_cast<std::int64_t>(consumed);
-  eng.schedule(pc.delivered, [this, src, cell, val]() {
-    sim::Engine& e = conduit_.engine();
-    if (e.pe_failed(src)) return;
-    // Monotonic max: a retransmitted older ack must not regress the cell.
-    std::int64_t cur;
-    std::memcpy(&cur, conduit_.segment(src) + cell, sizeof(cur));
-    if (cur >= kSentinelThreshold) cur -= kFailedSentinel;
-    const std::int64_t v = std::max(cur, val);
-    conduit_.poke(src, cell, &v, sizeof(v), e.sim_now());
-  });
+  const std::uint64_t pair = static_cast<std::uint64_t>(t) << 32 |
+                            static_cast<std::uint32_t>(src);
+  conduit_.engine().schedule_raw(pc.delivered, &RpcEngine::ack_event, this,
+                                 pair, consumed);
+}
+
+void RpcEngine::ack_event(void* ctx, std::uint64_t pair, std::uint64_t val) {
+  auto* self = static_cast<RpcEngine*>(ctx);
+  const auto t = static_cast<int>(pair >> 32);
+  const auto src = static_cast<int>(pair & 0xffffffffu);
+  Conduit& c = self->conduit_;
+  sim::Engine& e = c.engine();
+  if (e.pe_failed(src)) return;
+  const std::uint64_t cell =
+      self->ack_off_ + static_cast<std::uint64_t>(t) * 8;
+  // Monotonic max: a retransmitted older ack must not regress the cell.
+  std::int64_t cur;
+  std::memcpy(&cur, c.segment(src) + cell, sizeof(cur));
+  if (cur >= kSentinelThreshold) cur -= kFailedSentinel;
+  const std::int64_t v = std::max(cur, static_cast<std::int64_t>(val));
+  c.poke(src, cell, &v, sizeof(v), e.sim_now());
 }
 
 void RpcEngine::bump_bell(int image, sim::Time at) {
@@ -511,27 +595,45 @@ void RpcEngine::send_reply(int t, int src, std::uint64_t req_id,
   const net::PutCompletion pc = d->fabric().submit_reply(
       t, src, ret_len + kReplyOverhead, conduit_.sw(), at);
   if (!pc.ok) return;  // dead initiator, or retries exhausted: reply lost
-  std::vector<std::byte> ret(ret_bytes, ret_bytes + ret_len);
-  sim::Engine& eng = conduit_.engine();
-  eng.schedule(pc.delivered, [this, src, req_id, ret = std::move(ret)]() {
-    sim::Engine& e = conduit_.engine();
-    if (e.pe_failed(src)) return;
-    PerPe& st = per_[static_cast<std::size_t>(src)];
-    ++st.replies_seen;
-    ++*st.c_replies;
-    auto it = st.outstanding.find(req_id);
-    if (it != st.outstanding.end()) {
-      rpc_detail::Outstanding rec = std::move(it->second);
-      st.outstanding.erase(it);
-      if (!rec.op->ready) {
-        if (rec.set_value) rec.set_value(ret.data(), ret.size());
-        rec.remote->fulfill(kStatOk);
-        rec.op->fulfill(kStatOk);
-      }
+  std::uint32_t idx;
+  if (free_replies_.empty()) {
+    idx = static_cast<std::uint32_t>(replies_.size());
+    replies_.emplace_back();
+  } else {
+    idx = free_replies_.back();
+    free_replies_.pop_back();
+  }
+  Reply& r = replies_[idx];
+  r.req_id = req_id;
+  r.src = src;
+  r.len = static_cast<std::uint32_t>(ret_len);
+  if (ret_len != 0) std::memcpy(r.ret, ret_bytes, ret_len);
+  conduit_.engine().schedule_raw(pc.delivered, &RpcEngine::reply_event, this,
+                                 idx);
+}
+
+void RpcEngine::reply_event(void* ctx, std::uint64_t idx, std::uint64_t) {
+  auto* self = static_cast<RpcEngine*>(ctx);
+  // Copy the record out before recycling its slot.
+  const Reply r = self->replies_[idx];
+  self->free_replies_.push_back(static_cast<std::uint32_t>(idx));
+  sim::Engine& e = self->conduit_.engine();
+  if (e.pe_failed(r.src)) return;
+  PerPe& st = self->per_[static_cast<std::size_t>(r.src)];
+  ++st.replies_seen;
+  ++*st.c_replies;
+  auto it = st.outstanding.find(r.req_id);
+  if (it != st.outstanding.end()) {
+    rpc_detail::Outstanding rec = std::move(it->second);
+    st.outstanding.erase(it);
+    if (!rec.op->ready) {
+      if (rec.set_value) rec.set_value(r.ret, r.len);
+      rec.remote->fulfill(kStatOk);
+      rec.op->fulfill(kStatOk);
     }
-    // Wake the initiator if it is parked on the doorbell.
-    bump_bell(src, e.sim_now());
-  });
+  }
+  // Wake the initiator if it is parked on the doorbell.
+  self->bump_bell(r.src, e.sim_now());
 }
 
 // ---------------------------------------------------------------------------

@@ -229,8 +229,22 @@ class RpcEngine {
   struct PerPe {
     std::vector<std::uint64_t> sent;      ///< per target: requests issued
     std::vector<std::uint64_t> consumed;  ///< per source: requests drained
+    /// Candidate sources of this image's mailbox, one bit per source: a
+    /// superset of the sources whose next slot is visible or in flight
+    /// here. drain() visits only these (DESIGN.md §4f).
+    std::vector<std::uint64_t> cand;
+    /// The slot put this image may have in flight: set before the put is
+    /// issued, inert once `put_target` has consumed `put_seq`.
+    int put_target = -1;
+    std::uint64_t put_seq = 0;
+    std::vector<std::byte> stage;  ///< slot_bytes staging for send and drain
     std::uint64_t handled = 0;            ///< total requests drained
     std::uint64_t replies_seen = 0;       ///< total replies processed
+    /// Doorbell bumps that will never arrive for slots that did land here:
+    /// the sender was killed, or its fetch-add exhausted, between its put
+    /// and its bump. Counted with the bell so such a slot cannot pass for
+    /// the signal of a later one.
+    std::uint64_t lost_signals = 0;
     std::uint64_t next_req = 0;
     bool parked = false;
     bool draining = false;  ///< re-entrancy guard for drain passes
@@ -247,6 +261,14 @@ class RpcEngine {
     std::uint64_t* c_parked_drains = nullptr;
   };
 
+  /// One reply in flight between send_reply and its delivery event.
+  struct Reply {
+    std::uint64_t req_id = 0;
+    int src = 0;
+    std::uint32_t len = 0;
+    std::byte ret[kMaxRet];
+  };
+
   int self() const;
   std::int64_t read_bell(int image);
   void fail_outstanding(PerPe& st, rpc_detail::Outstanding rec);
@@ -261,6 +283,11 @@ class RpcEngine {
   /// owning fiber the handler advances the fiber clock; from the scheduler
   /// it serializes on the image's proc_free ledger starting at `at`.
   void drain(int t, bool fiber, sim::Time at);
+  /// First candidate source >= `from` in `st`'s set, or nranks if none.
+  int next_candidate(const PerPe& st, int from) const;
+  /// Drops `s` from image `t`'s candidate set if every slot `s` has put or
+  /// is putting to `t` has been consumed.
+  void retire_candidate(int t, int s);
   /// Executes one request at image `t` and emits the reply timing. `at`
   /// seeds the proc_free ledger on the scheduler-context path; the fiber
   /// path uses the image's own clock instead.
@@ -275,6 +302,13 @@ class RpcEngine {
   void bump_bell(int image, sim::Time at);
   void run_ready(int image);
 
+  // schedule_raw entry points (ctx = this).
+  static void parked_drain_event(void* ctx, std::uint64_t target0,
+                                 std::uint64_t);
+  static void signal_event(void* ctx, std::uint64_t target0, std::uint64_t);
+  static void ack_event(void* ctx, std::uint64_t pair, std::uint64_t val);
+  static void reply_event(void* ctx, std::uint64_t idx, std::uint64_t);
+
   friend void rpc_wait_core(Runtime& rt, rpc_detail::FutureCore& core);
 
   Runtime& rt_;
@@ -286,6 +320,8 @@ class RpcEngine {
   std::uint64_t bell_off_ = 0;  ///< one int64 doorbell
   std::uint64_t ack_off_ = 0;   ///< n int64 cumulative-consumed cells
   std::vector<PerPe> per_;
+  std::vector<Reply> replies_;  ///< pooled reply records, indexed by event
+  std::vector<std::uint32_t> free_replies_;
 };
 
 // ---------------------------------------------------------------------------

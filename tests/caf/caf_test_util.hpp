@@ -31,8 +31,12 @@ inline const char* to_string(Stack s) {
 
 class Harness {
  public:
+  /// `arm_injector = false` attaches the plan's wire faults (loss,
+  /// partitions, flaky links) but schedules no kills and starts no failure
+  /// detector, so retransmit exhaustion declares nobody.
   Harness(Stack stack, int images, caf::Options opts = {},
-          std::size_t heap = 2 << 20, net::FaultPlan plan = {})
+          std::size_t heap = 2 << 20, net::FaultPlan plan = {},
+          bool arm_injector = true)
       : stack_(stack),
         fabric_(net::machine_profile(machine(stack)), images) {
     if (plan.active()) {
@@ -43,7 +47,7 @@ class Harness {
       injector_ = std::make_unique<net::FaultInjector>(
           plan, images, fabric_.profile().cores_per_node);
       fabric_.set_fault_injector(injector_.get());
-      injector_->arm(engine_);
+      if (arm_injector) injector_->arm(engine_);
     }
     switch (stack) {
       case Stack::kShmemCray:

@@ -4,7 +4,8 @@
 // forget, chained then(), when_all fan-in, the completion triple — plus the
 // head-to-head check that the async-RPC DHT produces bit-identical table
 // contents to the one-sided lock/get/modify/put design on the same seed
-// and workload.
+// and workload, and a hash that pins the mailbox drain order under a
+// flooded target.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -274,4 +275,116 @@ TEST_P(RpcStacks, DhtRpcBitIdenticalToOneSided) {
   for (std::size_t i = 0; i < one_sided.size(); ++i) {
     EXPECT_EQ(one_sided[i], via_rpc[i]) << "slice of image " << (i + 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Mailbox drain order
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// 72 images (three XC30 nodes) flood image 1 through two-slot rings while
+/// each also calls its right neighbour. Returns a hash over image 1's
+/// handler order and every request's virtual completion time and result:
+/// a drain that finds the right requests but visits the sources in another
+/// order moves both, though the final table would not change.
+std::uint64_t hot_target_drain_hash() {
+  const int images = 72;
+  const int per_image = 6;
+  const int total = images * per_image;  // requests that reach image 1
+  caf::Options o = rpc_opts();
+  o.rpc.transport = RpcOptions::Transport::kMailbox;
+  o.rpc.slots_per_pair = 2;
+  Harness h(Stack::kShmemCray, images, o, 4 << 20);
+  // Per image: (completion time, result) of each hot and each cross call.
+  std::vector<std::vector<std::int64_t>> done(
+      static_cast<std::size_t>(images));
+  std::vector<std::int64_t> order;
+  h.run([&] {
+    auto& rt = h.rt();
+    sim::Engine& eng = h.engine();
+    const int me = rt.this_image();
+    const std::size_t log_bytes = 8 * static_cast<std::size_t>(1 + total);
+    const std::uint64_t log_off = rt.allocate_coarray_bytes(log_bytes);
+    std::memset(rt.local_addr(log_off), 0, log_bytes);
+    rt.sync_all();
+    auto& mine = done[static_cast<std::size_t>(me - 1)];
+    mine.assign(4 * per_image, -1);
+    std::vector<future<void>> futs;
+    for (int u = 0; u < per_image; ++u) {
+      // A little skew so the senders' slots interleave at the target.
+      eng.advance(150 * ((me * 7 + u * 3) % 11));
+      const std::int64_t tag = me * 100 + u;
+      futs.push_back(
+          rpc(
+              rt, 1,
+              [](sym_view<std::int64_t> log, std::int64_t t) -> std::int64_t {
+                std::int64_t* p = log.local();
+                const std::int64_t pos = p[0]++;
+                p[1 + pos] = t;
+                rpc_charge(300);
+                return pos;
+              },
+              sym_view<std::int64_t>{log_off, 0}, tag)
+              .then([&mine, &eng, u](std::int64_t pos) {
+                mine[static_cast<std::size_t>(4 * u)] = eng.now();
+                mine[static_cast<std::size_t>(4 * u + 1)] = pos;
+              }));
+      futs.push_back(
+          rpc(
+              rt, me % images + 1,
+              [](std::int64_t x) -> std::int64_t {
+                rpc_charge(100);
+                return x * 3;
+              },
+              tag)
+              .then([&mine, &eng, u](std::int64_t v) {
+                mine[static_cast<std::size_t>(4 * u + 2)] = eng.now();
+                mine[static_cast<std::size_t>(4 * u + 3)] = v;
+              }));
+    }
+    EXPECT_EQ(when_all(std::move(futs)).wait(), kStatOk);
+    rt.sync_all();
+    if (me == 1) {
+      const auto* p =
+          reinterpret_cast<const std::int64_t*>(rt.local_addr(log_off));
+      order.assign(p, p + 1 + total);
+    }
+  });
+  EXPECT_EQ(order.size(), static_cast<std::size_t>(1 + total));
+  if (!order.empty()) {
+    EXPECT_EQ(order[0], total);  // every request ran once
+  }
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::int64_t v : order) {
+    hash = fnv1a(hash, static_cast<std::uint64_t>(v));
+  }
+  for (const auto& mine : done) {
+    for (const std::int64_t v : mine) {
+      EXPECT_GE(v, 0) << "a continuation never ran";
+      hash = fnv1a(hash, static_cast<std::uint64_t>(v));
+    }
+  }
+  return hash;
+}
+
+// Golden hash of the run above, recorded with the full n-ring scan drain.
+// Any drain that changes which source is served first moves it.
+constexpr std::uint64_t kDrainOrderGolden = 0x277efc20d4c562cdull;
+
+}  // namespace
+
+TEST(RpcMailbox, HotTargetDrainOrderMatchesFullScan) {
+  const std::uint64_t a = hot_target_drain_hash();
+  EXPECT_EQ(a, hot_target_drain_hash()) << "same-seed rerun diverged";
+  EXPECT_EQ(a, kDrainOrderGolden)
+      << "drain order or timing moved. New hash: 0x" << std::hex << a;
 }
