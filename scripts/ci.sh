@@ -12,7 +12,8 @@ GENERATOR=()
 command -v ninja >/dev/null 2>&1 && GENERATOR=(-G Ninja)
 
 echo "=== Release build + full test suite ==="
-cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
+cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release \
+  -DCAFSHMEM_WERROR=ON
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
@@ -21,7 +22,8 @@ echo "=== Sanitize build (ASan/UBSan) + full test suite ==="
 # path, so the engine-scale `sim` tests (16k lazily-stacked fibers, pool
 # recycling, kill-during-lazy-stack) also check both context
 # implementations stay in lockstep.
-cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
+cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize \
+  -DCAFSHMEM_WERROR=ON
 cmake --build build-sanitize -j "$JOBS"
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \

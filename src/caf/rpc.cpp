@@ -88,36 +88,41 @@ RpcEngine::RpcEngine(Runtime& rt, const RpcOptions& opts)
   const auto n = static_cast<std::size_t>(conduit_.nranks());
   per_.resize(n);
   // Sized here rather than in init_symmetric: a sender marks the target's
-  // set, and the target may not have reached its own init yet.
-  for (PerPe& st : per_) st.cand.assign((n + 63) / 64, 0);
+  // set and takes a row there, and the target may not have reached its own
+  // init yet.
+  for (PerPe& st : per_) {
+    st.cand.assign((n + 63) / 64, 0);
+    st.row.assign(n, -1);
+  }
 }
 
 RpcEngine::~RpcEngine() = default;
 
 int RpcEngine::self() const { return conduit_.rank(); }
 
+std::size_t RpcEngine::ring_bytes() const {
+  return static_cast<std::size_t>(conduit_.nranks()) *
+         static_cast<std::size_t>(opts_.slots_per_pair) * opts_.slot_bytes;
+}
+
 void RpcEngine::init_symmetric() {
   const int n = conduit_.nranks();
-  const std::size_t ring_bytes = static_cast<std::size_t>(n) *
-                                 static_cast<std::size_t>(opts_.slots_per_pair) *
-                                 opts_.slot_bytes;
   // Collective allocations — identical sequence on every image. The mailbox
-  // area is allocated even on the AM transport (it is small and keeps the
-  // two transports' heap layouts — and thus every other offset — identical,
-  // so a transport A/B comparison isolates the transport).
-  mbox_off_ = conduit_.allocate(ring_bytes);
+  // area is allocated even on the AM transport (it keeps the two
+  // transports' heap layouts — and thus every other offset — identical, so
+  // a transport A/B comparison isolates the transport). Its rows are
+  // cleared when a sender first takes one, so the pages of rows nobody
+  // uses are never touched.
+  mbox_off_ = conduit_.allocate(ring_bytes());
   bell_off_ = conduit_.allocate(sizeof(std::int64_t));
   ack_off_ = conduit_.allocate(static_cast<std::size_t>(n) * 8);
 
   const int me = self();
   std::byte* seg = conduit_.segment(me);
-  std::memset(seg + mbox_off_, 0, ring_bytes);
   std::memset(seg + bell_off_, 0, sizeof(std::int64_t));
   std::memset(seg + ack_off_, 0, static_cast<std::size_t>(n) * 8);
 
   PerPe& st = per_[static_cast<std::size_t>(me)];
-  st.sent.assign(static_cast<std::size_t>(n), 0);
-  st.consumed.assign(static_cast<std::size_t>(n), 0);
   st.put_target = -1;
   st.stage.assign(opts_.slot_bytes, std::byte{0});
   auto& reg = obs::registry();
@@ -261,8 +266,12 @@ void RpcEngine::mailbox_send(int me, int target0,
                              const rpc_detail::SlotHeader& hdr,
                              const std::byte* blob) {
   PerPe& st = per_[static_cast<std::size_t>(me)];
+  PerPe& ts = per_[static_cast<std::size_t>(target0)];
   const std::uint64_t k = static_cast<std::uint64_t>(opts_.slots_per_pair);
-  const std::uint64_t seq = st.sent[static_cast<std::size_t>(target0)] + 1;
+  // Indexed, never held: other first-contact senders grow ts.pairs while
+  // this fiber blocks.
+  const std::size_t row = row_of(target0, me);
+  const std::uint64_t seq = ts.pairs[row].sent + 1;
 
   // Ring backpressure: the slot this sequence lands in is free once the
   // target's cumulative ack covers seq - k. Park while waiting — the wait
@@ -307,16 +316,11 @@ void RpcEngine::mailbox_send(int me, int target0,
   std::byte* buf = st.stage.data();
   std::memcpy(buf, &wire, kHeaderBytes);
   if (hdr.bytes != 0) std::memcpy(buf + kHeaderBytes, blob, hdr.bytes);
-  // Slot indexing is [src][slot] in the *target's* ring area, so the source
-  // rank (me) picks the row at the destination.
-  const std::uint64_t dst_off =
-      mbox_off_ + (static_cast<std::uint64_t>(me) * k + (seq - 1) % k) *
-                      opts_.slot_bytes;
+  const std::uint64_t dst_off = slot_off(row, seq);
   // Join the target's candidate set before the put is issued: the payload
   // can land, and a drain started by another doorbell can find it, before
   // this image's quiet returns. The in-flight marker keeps the bit alive
   // until the target has consumed this sequence.
-  PerPe& ts = per_[static_cast<std::size_t>(target0)];
   ts.cand[static_cast<std::size_t>(me) / 64] |= std::uint64_t{1} << (me % 64);
   st.put_target = target0;
   st.put_seq = seq;
@@ -328,7 +332,7 @@ void RpcEngine::mailbox_send(int me, int target0,
                  /*nbi=*/false);
     stage = Stage::kWire;
     conduit_.quiet();
-    st.sent[static_cast<std::size_t>(target0)] = seq;
+    ts.pairs[row].sent = seq;
     if (conduit_.native_amo()) {
       stage = Stage::kBell;
       (void)conduit_.amo_fadd(target0, bell_off_, 1);
@@ -402,10 +406,9 @@ void RpcEngine::signal_event(void* ctx, std::uint64_t target0,
 void RpcEngine::drain(int t, bool fiber, sim::Time at) {
   if (am_) return;  // AM transport: the fabric delivers straight to handlers
   PerPe& st = per_[static_cast<std::size_t>(t)];
-  if (st.draining || st.sent.empty()) return;
+  if (st.draining || st.stage.empty()) return;
   st.draining = true;
   const int n = conduit_.nranks();
-  const std::uint64_t k = static_cast<std::uint64_t>(opts_.slots_per_pair);
   const std::byte* seg = conduit_.segment(t);
   bool progressed = true;
   while (progressed) {
@@ -420,21 +423,22 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
     // rings would meet it.
     for (int s = next_candidate(st, 0); s < n;
          s = next_candidate(st, s + 1)) {
+      // A candidate has a row: the sender takes it before setting the bit.
+      // Indexed, never held: a handler's clock advance lets a first-contact
+      // sender grow st.pairs.
+      const auto row =
+          static_cast<std::size_t>(st.row[static_cast<std::size_t>(s)]);
       bool any = false;
       while (true) {
-        const std::uint64_t next = st.consumed[static_cast<std::size_t>(s)] + 1;
-        const std::uint64_t slot_off =
-            mbox_off_ +
-            (static_cast<std::uint64_t>(s) * k + (next - 1) % k) *
-                opts_.slot_bytes;
+        const std::uint64_t next = st.pairs[row].consumed + 1;
+        const std::uint64_t off = slot_off(row, next);
         rpc_detail::SlotHeader hdr;
-        std::memcpy(&hdr, seg + slot_off, kHeaderBytes);
+        std::memcpy(&hdr, seg + off, kHeaderBytes);
         if (hdr.seq != next) break;
         if (hdr.bytes != 0) {
-          std::memcpy(st.stage.data(), seg + slot_off + kHeaderBytes,
-                      hdr.bytes);
+          std::memcpy(st.stage.data(), seg + off + kHeaderBytes, hdr.bytes);
         }
-        st.consumed[static_cast<std::size_t>(s)] = next;
+        st.pairs[row].consumed = next;
         ++st.handled;
         ++*st.c_handled;
         exec_request(t, s, hdr, st.stage.data(), fiber, at);
@@ -445,12 +449,32 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
       if (any) {
         const sim::Time ack_at =
             fiber ? conduit_.engine().now() : std::max(at, st.proc_free);
-        send_ack(t, s,
-                 st.consumed[static_cast<std::size_t>(s)], ack_at);
+        send_ack(t, s, st.pairs[row].consumed, ack_at);
       }
     }
   }
   st.draining = false;
+}
+
+std::size_t RpcEngine::row_of(int t, int src) {
+  PerPe& ts = per_[static_cast<std::size_t>(t)];
+  std::int32_t& r = ts.row[static_cast<std::size_t>(src)];
+  if (r < 0) {
+    // Host storage only: the modeled layout is still one row per pair, so
+    // taking and clearing a row costs no virtual time.
+    r = static_cast<std::int32_t>(ts.pairs.size());
+    ts.pairs.emplace_back();
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(opts_.slots_per_pair) * opts_.slot_bytes;
+    std::memset(conduit_.segment(t) + slot_off(static_cast<std::size_t>(r), 1),
+                0, row_bytes);
+  }
+  return static_cast<std::size_t>(r);
+}
+
+std::uint64_t RpcEngine::slot_off(std::size_t row, std::uint64_t seq) const {
+  const auto k = static_cast<std::uint64_t>(opts_.slots_per_pair);
+  return mbox_off_ + (row * k + (seq - 1) % k) * opts_.slot_bytes;
 }
 
 int RpcEngine::next_candidate(const PerPe& st, int from) const {
@@ -468,9 +492,10 @@ int RpcEngine::next_candidate(const PerPe& st, int from) const {
 void RpcEngine::retire_candidate(int t, int s) {
   const PerPe& src = per_[static_cast<std::size_t>(s)];
   PerPe& st = per_[static_cast<std::size_t>(t)];
-  const std::uint64_t c = st.consumed[static_cast<std::size_t>(s)];
-  if (c < src.sent[static_cast<std::size_t>(t)]) return;  // landed, unread
-  if (src.put_target == t && c < src.put_seq) return;     // still in flight
+  const Pair& p = st.pairs[static_cast<std::size_t>(
+      st.row[static_cast<std::size_t>(s)])];
+  if (p.consumed < p.sent) return;  // landed, unread
+  if (src.put_target == t && p.consumed < src.put_seq) return;  // in flight
   st.cand[static_cast<std::size_t>(s) / 64] &=
       ~(std::uint64_t{1} << (s % 64));
 }

@@ -225,10 +225,23 @@ class RpcEngine {
   /// Blocks the calling fiber until `core` completes (see rpc_wait_core).
   void wait(rpc_detail::FutureCore& core);
 
+  /// Symmetric offset and size of the mailbox ring area (for tests).
+  std::uint64_t ring_offset() const { return mbox_off_; }
+  std::size_t ring_bytes() const;
+
  private:
+  /// Sequence counters of one (source, target) pair, kept at the target.
+  struct Pair {
+    std::uint64_t sent = 0;      ///< requests the source has issued
+    std::uint64_t consumed = 0;  ///< requests the target has drained
+  };
+
   struct PerPe {
-    std::vector<std::uint64_t> sent;      ///< per target: requests issued
-    std::vector<std::uint64_t> consumed;  ///< per source: requests drained
+    /// Per source: the row of this image's ring area (and index into
+    /// `pairs`) the source's slots live in, -1 before its first request.
+    /// Rows go out in first-contact order (DESIGN.md §4f).
+    std::vector<std::int32_t> row;
+    std::vector<Pair> pairs;  ///< by row; grows on first contact
     /// Candidate sources of this image's mailbox, one bit per source: a
     /// superset of the sources whose next slot is visible or in flight
     /// here. drain() visits only these (DESIGN.md §4f).
@@ -283,6 +296,11 @@ class RpcEngine {
   /// owning fiber the handler advances the fiber clock; from the scheduler
   /// it serializes on the image's proc_free ledger starting at `at`.
   void drain(int t, bool fiber, sim::Time at);
+  /// `src`'s row in image `t`'s ring area. The first request takes the
+  /// next row and clears its slots.
+  std::size_t row_of(int t, int src);
+  /// Offset of the slot that sequence `seq` of ring row `row` lands in.
+  std::uint64_t slot_off(std::size_t row, std::uint64_t seq) const;
   /// First candidate source >= `from` in `st`'s set, or nranks if none.
   int next_candidate(const PerPe& st, int from) const;
   /// Drops `s` from image `t`'s candidate set if every slot `s` has put or
@@ -316,7 +334,9 @@ class RpcEngine {
   RpcOptions opts_;
   bool am_ = false;
   int am_handler_ = -1;
-  std::uint64_t mbox_off_ = 0;  ///< n * slots_per_pair * slot_bytes ring area
+  /// n * slots_per_pair * slot_bytes ring area, one row per sender that
+  /// has made contact.
+  std::uint64_t mbox_off_ = 0;
   std::uint64_t bell_off_ = 0;  ///< one int64 doorbell
   std::uint64_t ack_off_ = 0;   ///< n int64 cumulative-consumed cells
   std::vector<PerPe> per_;

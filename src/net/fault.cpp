@@ -96,6 +96,11 @@ bool in_nodes(const std::vector<int>& nodes, int node) {
   return false;
 }
 
+// schedule_raw entry point of a scheduled kill (ctx = the engine).
+void kill_event(void* ctx, std::uint64_t pe, std::uint64_t) {
+  static_cast<sim::Engine*>(ctx)->kill_pe(static_cast<int>(pe));
+}
+
 }  // namespace
 
 void RetryPolicy::apply_env() {
@@ -362,7 +367,8 @@ void FaultInjector::arm(sim::Engine& engine) {
     const sim::Time at = kill_at_[static_cast<std::size_t>(pe)];
     if (at == kNever) continue;
     any = true;
-    engine.schedule(at, [&engine, pe] { engine.kill_pe(pe); });
+    engine.schedule_raw(at, &kill_event, &engine,
+                        static_cast<std::uint64_t>(pe));
   }
   // Partitions can strand an op permanently (retransmit exhaustion), so
   // partition-only plans also need the runtime's recovery protocols armed.

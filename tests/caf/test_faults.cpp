@@ -166,7 +166,9 @@ TEST(FailedImage, AggregationPreservesStatReporting) {
       st = rt.sync_all_stat();
     }
     EXPECT_EQ(st, caf::kStatFailedImage);
-    if (me == 1) EXPECT_GT(rt.stats().agg_staged, 0u);
+    if (me == 1) {
+      EXPECT_GT(rt.stats().agg_staged, 0u);
+    }
     // Post-mortem stat= RMA through the pipeline: synchronous reporting.
     std::int64_t v = 42;
     EXPECT_EQ(rt.put_bytes_stat(3, off, &v, sizeof v), caf::kStatFailedImage);

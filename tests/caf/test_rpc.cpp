@@ -4,16 +4,19 @@
 // forget, chained then(), when_all fan-in, the completion triple — plus the
 // head-to-head check that the async-RPC DHT produces bit-identical table
 // contents to the one-sided lock/get/modify/put design on the same seed
-// and workload, and a hash that pins the mailbox drain order under a
-// flooded target.
+// and workload, a hash that pins the mailbox drain order under a flooded
+// target, and the host layout of the mailbox ring rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/dht.hpp"
 #include "apps/dht_rpc.hpp"
+#include "apps/driver.hpp"
 #include "caf_test_util.hpp"
 #include "sim/engine.hpp"
 
@@ -387,4 +390,152 @@ TEST(RpcMailbox, HotTargetDrainOrderMatchesFullScan) {
   EXPECT_EQ(a, hot_target_drain_hash()) << "same-seed rerun diverged";
   EXPECT_EQ(a, kDrainOrderGolden)
       << "drain order or timing moved. New hash: 0x" << std::hex << a;
+}
+
+// ---------------------------------------------------------------------------
+// Mailbox ring rows: given out by first contact, cleared when given
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Trivially copyable handler with a nameable type, so a test can forge a
+/// slot header that carries its trampoline id.
+struct Triple {
+  std::uint64_t operator()(std::uint64_t x) const { return 3 * x + 1; }
+};
+
+caf::Options mailbox_opts(int slots_per_pair) {
+  caf::Options o = rpc_opts();
+  o.rpc.transport = RpcOptions::Transport::kMailbox;
+  o.rpc.slots_per_pair = slots_per_pair;
+  return o;
+}
+
+/// Targets (1-based) image `me` of `n` sends to in the density test: two
+/// neighbours, a strided partner, and image 1 from every eighth image.
+std::vector<int> density_targets(int me, int n) {
+  std::vector<int> t = {me % n + 1, (me + 2) % n + 1, (me * 5) % n + 1};
+  if (me % 8 == 0) t.push_back(1);
+  return t;
+}
+
+}  // namespace
+
+// Each image's ring area holds one row per sender that has contacted it,
+// packed from the front. A layout indexed by source rank puts sender s's
+// row at s * row_bytes, far past the distinct-sender bound.
+TEST(RpcMailbox, RingRowsPackedByFirstContact) {
+  const int n = 128;
+  const int k = 2;
+  const int rounds = 3;  // more requests per pair than slots: rings wrap
+  driver::Stack stack(driver::StackKind::kShmemCray, n, net::Machine::kTitan,
+                      1 << 20, mailbox_opts(k));
+  std::vector<std::set<int>> senders(static_cast<std::size_t>(n));
+  for (int me = 1; me <= n; ++me) {
+    for (const int t : density_targets(me, n)) {
+      senders[static_cast<std::size_t>(t - 1)].insert(me);
+    }
+  }
+  std::vector<int> checked(static_cast<std::size_t>(n), 0);
+  stack.run([&](caf::Runtime& rt) {
+    const int me = rt.this_image();
+    std::vector<future<std::uint64_t>> futs;
+    std::vector<std::uint64_t> want;
+    for (int r = 0; r < rounds; ++r) {
+      for (const int t : density_targets(me, n)) {
+        const auto x = static_cast<std::uint64_t>(me * 1000 + t * 10 + r);
+        futs.push_back(rpc(rt, t, Triple{}, x));
+        want.push_back(3 * x + 1);
+      }
+    }
+    auto all = when_all(std::move(futs));
+    ASSERT_EQ(all.wait(), kStatOk);
+    EXPECT_EQ(all.value(), want);
+    rt.sync_all();
+
+    const RpcEngine& eng = *rt.rpc_engine();
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(k) * RpcOptions{}.slot_bytes;
+    ASSERT_EQ(eng.ring_bytes(), static_cast<std::size_t>(n) * row_bytes);
+    const std::byte* ring = rt.local_addr(eng.ring_offset());
+    std::size_t end = 0;  // one past the highest non-zero byte
+    for (std::size_t i = eng.ring_bytes(); i > 0; --i) {
+      if (ring[i - 1] != std::byte{0}) {
+        end = i;
+        break;
+      }
+    }
+    const std::size_t distinct =
+        senders[static_cast<std::size_t>(me - 1)].size();
+    EXPECT_LE(end, distinct * row_bytes)
+        << "image " << me << ": " << distinct << " senders";
+    EXPECT_GT(end, (distinct - 1) * row_bytes)
+        << "image " << me << ": fewer rows in use than senders";
+    checked[static_cast<std::size_t>(me - 1)] = 1;
+    rt.sync_all();
+  });
+  EXPECT_EQ(std::count(checked.begin(), checked.end(), 1), n);
+}
+
+// Rows are cleared when a sender takes one, not at init. Image 1's ring
+// area is overwritten after init with 0xA5 and, in every slot a row's
+// first k requests land in, a well-formed fire-and-forget header carrying
+// exactly that sequence. A row not cleared at first contact would be
+// drained as those stale requests ahead of (or instead of) the real ones.
+TEST(RpcMailbox, StaleRowsClearedAtFirstContact) {
+  const int n = 40;  // three Titan nodes: inter- and intra-node senders
+  const int k = 2;
+  const int per_sender = 5;
+  const sim::Time deadline = 2'000'000;  // 2 ms: ample for 40 x 5 calls
+  driver::Stack stack(driver::StackKind::kShmemCray, n, net::Machine::kTitan,
+                      1 << 20, mailbox_opts(k));
+  sim::Engine& eng = stack.engine();
+  std::vector<int> done(static_cast<std::size_t>(n), 0);
+  stack.run([&](caf::Runtime& rt) {
+    const int me = rt.this_image();
+    if (me == 1) {
+      const RpcEngine& rpc_eng = *rt.rpc_engine();
+      const std::size_t slot_bytes = RpcOptions{}.slot_bytes;
+      std::byte* ring = rt.local_addr(rpc_eng.ring_offset());
+      std::memset(ring, 0xA5, rpc_eng.ring_bytes());
+      for (std::size_t slot = 0; slot * slot_bytes < rpc_eng.ring_bytes();
+           ++slot) {
+        rpc_detail::SlotHeader hdr;
+        hdr.req_id = 0xA5A5A5A5A5A5A5A5ull;
+        hdr.seq = slot % static_cast<std::size_t>(k) + 1;
+        hdr.fn = rpc_detail::fn_id<Triple, std::uint64_t>();
+        hdr.bytes = sizeof(Triple) + sizeof(std::uint64_t);
+        hdr.flags = rpc_detail::kFlagFf;
+        std::memcpy(ring + slot * slot_bytes, &hdr, sizeof(hdr));
+      }
+    }
+    rt.sync_all();
+    if (me % 3 == 1) {  // image 1 and every third image call image 1
+      std::vector<future<std::uint64_t>> futs;
+      for (int u = 0; u < per_sender; ++u) {
+        eng.advance(200 * ((me + u) % 4));
+        futs.push_back(rpc(rt, 1, Triple{},
+                           static_cast<std::uint64_t>(me * 10 + u)));
+      }
+      // Poll rather than wait, so a stranded request fails the deadline
+      // instead of parking forever.
+      for (;;) {
+        rt.rpc_progress();
+        bool all_ready = true;
+        for (const auto& f : futs) all_ready = all_ready && f.ready();
+        if (all_ready) break;
+        ASSERT_LT(eng.now(), deadline) << "image " << me << " stranded";
+        eng.advance(1'000);
+      }
+      for (int u = 0; u < per_sender; ++u) {
+        auto& f = futs[static_cast<std::size_t>(u)];
+        EXPECT_EQ(f.stat(), kStatOk);
+        EXPECT_EQ(f.value(), 3 * static_cast<std::uint64_t>(me * 10 + u) + 1)
+            << "image " << me << " call " << u;
+      }
+    }
+    done[static_cast<std::size_t>(me - 1)] = 1;
+    rt.sync_all();
+  });
+  EXPECT_EQ(std::count(done.begin(), done.end(), 1), n);
 }
