@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -26,12 +27,14 @@
 
 namespace {
 
+void noop_event(void*, std::uint64_t, std::uint64_t) {}
+
 void BM_EventQueueThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine eng;
     for (int i = 0; i < n; ++i) {
-      eng.schedule(i, [] {});
+      eng.schedule_raw(i, &noop_event, nullptr);
     }
     eng.run();
     benchmark::DoNotOptimize(eng.events_processed());
@@ -112,7 +115,7 @@ QueueResult measure_queue(int n, int reps) {
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     sim::Engine eng;
-    for (int i = 0; i < n; ++i) eng.schedule(i, [] {});
+    for (int i = 0; i < n; ++i) eng.schedule_raw(i, &noop_event, nullptr);
     eng.run();
     best_ms = std::min(best_ms, ms_since(t0));
     // Once the thread-local slab cache is warm (first rep), a run must not

@@ -142,23 +142,7 @@ net::PutCompletion Domain::node_oneway(const char* op, int me, int dst_pe,
   return {local_complete, delivered, true, 1};
 }
 
-Domain::PendingMsg* Domain::MsgPool::acquire() {
-  if (free_ != nullptr) {
-    PendingMsg* m = free_;
-    free_ = m->next;
-    return m;
-  }
-  if (bump_left_ == 0) {
-    // for_overwrite: every field is written by the issue site.
-    slabs_.push_back(std::make_unique_for_overwrite<Slab>());
-    bump_ = slabs_.back()->msgs;
-    bump_left_ = kSlabMsgs;
-  }
-  --bump_left_;
-  return bump_++;
-}
-
-std::byte* Domain::BufPool::acquire(std::size_t n, std::uint8_t* cls_out) {
+std::byte* BufPool::acquire(std::size_t n, std::uint8_t* cls_out) {
   // Pow2 size classes, 16-byte minimum (the free-list link lives in the
   // buffer's first bytes, and scatter records need 8-byte alignment, which
   // malloc already guarantees per class).
@@ -178,12 +162,12 @@ std::byte* Domain::BufPool::acquire(std::size_t n, std::uint8_t* cls_out) {
   return p;
 }
 
-void Domain::BufPool::release(std::byte* p, std::uint8_t cls) {
+void BufPool::release(std::byte* p, std::uint8_t cls) {
   std::memcpy(p, &free_[cls], sizeof(std::byte*));
   free_[cls] = p;
 }
 
-Domain::BufPool::~BufPool() {
+BufPool::~BufPool() {
   for (std::byte* p : all_) std::free(p);
 }
 
@@ -425,60 +409,10 @@ net::PutCompletion Domain::put_scatter(int dst_pe, const ScatterRec* recs,
 }
 
 void Domain::get(void* dst, int src_pe, std::uint64_t src_off, std::size_t n) {
-  const int me = current_pe();
   if (src_off + n > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::get beyond segment");
   }
-  if (node_routed(me, src_pe)) {
-    // Node-local read: the caller's own core streams the bytes out of the
-    // peer's shared segment — no request message, no NIC.
-    net::NodeChannel& ch = *node_;
-    net::FaultInjector* fi = fabric_.fault_injector();
-    NodeTele& nt = node_tele(me);
-    sim::Time issue = net::NodeChannel::kBulkIssue;
-    if (fi != nullptr) issue = fi->dilate(me, issue);
-    const net::NodeRoundTrip rt = ch.get(me, src_pe, n, engine_.now(), issue);
-    if (fi != nullptr && fi->pe_dead(src_pe, rt.exec)) {
-      // Loading from a detached segment faults; no retry can help.
-      fi->note_exhaustion(me, src_pe, rt.exec);
-      engine_.advance_to(rt.exec);
-      throw PeerFailedError("get", me, src_pe, 1, rt.exec);
-    }
-    ++*nt.gets;
-    ++*nt.elided_msgs;
-    *nt.elided_bytes += n;
-    if (!ch.numa_local(me, src_pe)) ++*nt.numa_remote;
-    sim::Fiber* f = engine_.current_fiber();
-    f->set_block_op("get", src_pe);
-    engine_.schedule(rt.exec, [this, f, dst, src_pe, src_off, n, rt] {
-      auto snapshot = std::make_shared<std::vector<std::byte>>(n);
-      std::memcpy(snapshot->data(), segments_[src_pe].data() + src_off, n);
-      engine_.schedule(rt.complete, [this, f, dst, snapshot, rt] {
-        std::memcpy(dst, snapshot->data(), snapshot->size());
-        engine_.resume(*f, rt.complete);
-      });
-    });
-    engine_.block();
-    return;
-  }
-  const auto rt = fabric_.submit_get(me, src_pe, n, sw_, engine_.now());
-  if (!rt.ok) {
-    engine_.advance_to(rt.complete);
-    throw PeerFailedError("get", me, src_pe, rt.attempts, rt.complete);
-  }
-  sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("get", src_pe);
-  // Snapshot target memory at the moment the NIC services the read, then
-  // hand the bytes to the blocked initiator at reply time.
-  engine_.schedule(rt.target_read, [this, f, dst, src_pe, src_off, n, rt] {
-    auto snapshot = std::make_shared<std::vector<std::byte>>(n);
-    std::memcpy(snapshot->data(), segments_[src_pe].data() + src_off, n);
-    engine_.schedule(rt.complete, [this, f, dst, snapshot, rt] {
-      std::memcpy(dst, snapshot->data(), snapshot->size());
-      engine_.resume(*f, rt.complete);
-    });
-  });
-  engine_.block();
+  read(false, dst, 1, src_pe, src_off, 1, n, 1);
 }
 
 void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
@@ -563,86 +497,127 @@ void Domain::iget_hw(void* dst, std::ptrdiff_t dst_stride, int src_pe,
                      std::uint64_t src_off, std::ptrdiff_t src_stride,
                      std::size_t elem_bytes, std::size_t nelems) {
   assert(sw_.hw_strided && "iget_hw requires a hardware-strided profile");
-  const int me = current_pe();
   if (nelems == 0) return;
+  read(true, dst, dst_stride, src_pe, src_off, src_stride, elem_bytes, nelems);
+}
+
+void Domain::read(bool strided, void* dst, std::ptrdiff_t dst_stride,
+                  int src_pe, std::uint64_t src_off, std::ptrdiff_t src_stride,
+                  std::size_t elem_bytes, std::size_t nelems) {
+  const int me = current_pe();
+  const char* op = strided ? "iget" : "get";
+  const std::size_t bytes = elem_bytes * nelems;
+  net::NodeRoundTrip at;  // target read, reply at the initiator
   if (node_routed(me, src_pe)) {
+    // Node-local read: the caller's own core streams the bytes out of the
+    // peer's shared segment — no request message, no NIC.
     net::NodeChannel& ch = *node_;
     net::FaultInjector* fi = fabric_.fault_injector();
     NodeTele& nt = node_tele(me);
     sim::Time issue = net::NodeChannel::kBulkIssue;
     sim::Time gaps =
-        static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap;
+        strided ? static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap
+                : 0;
     if (fi != nullptr) {
       issue = fi->dilate(me, issue);
       gaps = fi->dilate(me, gaps);
     }
     const net::NodeRoundTrip rt =
-        ch.get(me, src_pe, elem_bytes * nelems, engine_.now(), issue, gaps);
+        ch.get(me, src_pe, bytes, engine_.now(), issue, gaps);
     if (fi != nullptr && fi->pe_dead(src_pe, rt.exec)) {
+      // Loading from a detached segment faults; no retry can help.
       fi->note_exhaustion(me, src_pe, rt.exec);
       engine_.advance_to(rt.exec);
-      throw PeerFailedError("iget", me, src_pe, 1, rt.exec);
+      throw PeerFailedError(op, me, src_pe, 1, rt.exec);
     }
     ++*nt.gets;
-    ++*nt.strided;
+    if (strided) ++*nt.strided;
     ++*nt.elided_msgs;
-    *nt.elided_bytes += elem_bytes * nelems;
+    *nt.elided_bytes += bytes;
     if (!ch.numa_local(me, src_pe)) ++*nt.numa_remote;
-    sim::Fiber* f = engine_.current_fiber();
-    f->set_block_op("iget", src_pe);
-    engine_.schedule(rt.exec, [this, f, dst, dst_stride, src_pe, src_off,
-                               src_stride, elem_bytes, nelems, rt] {
-      auto snapshot =
-          std::make_shared<std::vector<std::byte>>(elem_bytes * nelems);
-      for (std::size_t i = 0; i < nelems; ++i) {
-        const std::uint64_t off =
-            src_off + i * static_cast<std::uint64_t>(src_stride) * elem_bytes;
-        std::memcpy(snapshot->data() + i * elem_bytes,
-                    segments_[src_pe].data() + off, elem_bytes);
-      }
-      engine_.schedule(rt.complete, [this, f, dst, dst_stride, elem_bytes,
-                                     nelems, snapshot, rt] {
-        auto* d = static_cast<std::byte*>(dst);
-        for (std::size_t i = 0; i < nelems; ++i) {
-          std::memcpy(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                              static_cast<std::ptrdiff_t>(elem_bytes),
-                      snapshot->data() + i * elem_bytes, elem_bytes);
-        }
-        engine_.resume(*f, rt.complete);
-      });
-    });
-    engine_.block();
+    at = rt;
+  } else {
+    const auto rt =
+        strided ? fabric_.submit_strided_get(me, src_pe, elem_bytes, nelems,
+                                             sw_, engine_.now())
+                : fabric_.submit_get(me, src_pe, bytes, sw_, engine_.now());
+    if (!rt.ok) {
+      engine_.advance_to(rt.complete);
+      throw PeerFailedError(op, me, src_pe, rt.attempts, rt.complete);
+    }
+    // The NIC reads target memory when it services the request.
+    at = {rt.target_read, rt.complete};
+  }
+  round_trip(op, {.dst = static_cast<std::byte*>(dst), .off = src_off,
+                  .src_stride = src_stride, .dst_stride = dst_stride,
+                  .elem_bytes = elem_bytes, .nelems = nelems,
+                  .exec = at.exec, .complete = at.complete, .pe = src_pe});
+}
+
+void Domain::round_trip(const char* op, const RoundTrip& rec) {
+  RoundTrip* r = rt_pool_.acquire();
+  *r = rec;
+  r->fiber = engine_.current_fiber();
+  r->buf = buf_pool_.acquire(r->elem_bytes * r->nelems, &r->buf_cls);
+  r->fiber->set_block_op(op, r->pe);
+  const auto a = reinterpret_cast<std::uint64_t>(r);
+  engine_.schedule_raw(r->exec, &round_trip_exec, this, a);
+  if (r->amo) engine_.schedule_raw(r->complete, &round_trip_complete, this, a);
+  engine_.block();
+}
+
+void Domain::round_trip_exec(void* ctx, std::uint64_t rec, std::uint64_t) {
+  auto* d = static_cast<Domain*>(ctx);
+  RoundTrip& r = *reinterpret_cast<RoundTrip*>(rec);
+  std::byte* src = d->segments_[r.pe].data() + r.off;
+  if (!r.amo) {
+    // Snapshot at target-read time; the reply carries these bytes.
+    for (std::size_t i = 0; i < r.nelems; ++i) {
+      std::memcpy(r.buf + i * r.elem_bytes,
+                  src + static_cast<std::ptrdiff_t>(i) * r.src_stride *
+                            static_cast<std::ptrdiff_t>(r.elem_bytes),
+                  r.elem_bytes);
+    }
+    d->engine_.schedule_raw(r.complete, &round_trip_complete, ctx, rec);
     return;
   }
-  const auto rt = fabric_.submit_strided_get(me, src_pe, elem_bytes, nelems,
-                                             sw_, engine_.now());
-  if (!rt.ok) {
-    engine_.advance_to(rt.complete);
-    throw PeerFailedError("iget", me, src_pe, rt.attempts, rt.complete);
+  std::uint64_t old = 0;
+  std::memcpy(&old, src, sizeof old);
+  std::memcpy(r.buf, &old, sizeof old);
+  std::uint64_t neu = old;
+  bool store = true;
+  switch (r.op) {
+    case AmoOp::kSwap: neu = r.operand; break;
+    case AmoOp::kCompareSwap:
+      if (old == r.cond) neu = r.operand; else store = false;
+      break;
+    case AmoOp::kFetchAdd: neu = old + r.operand; break;
+    case AmoOp::kFetchAnd: neu = old & r.operand; break;
+    case AmoOp::kFetchOr: neu = old | r.operand; break;
+    case AmoOp::kFetchXor: neu = old ^ r.operand; break;
   }
-  sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("iget", src_pe);
-  engine_.schedule(rt.target_read, [this, f, dst, dst_stride, src_pe, src_off,
-                                    src_stride, elem_bytes, nelems, rt] {
-    auto snapshot = std::make_shared<std::vector<std::byte>>(elem_bytes * nelems);
-    for (std::size_t i = 0; i < nelems; ++i) {
-      const std::uint64_t off =
-          src_off + i * static_cast<std::uint64_t>(src_stride) * elem_bytes;
-      std::memcpy(snapshot->data() + i * elem_bytes,
-                  segments_[src_pe].data() + off, elem_bytes);
+  if (store) {
+    std::memcpy(src, &neu, sizeof neu);
+    if (d->write_hook_) d->write_hook_({r.pe, r.off, sizeof neu, r.exec});
+  }
+}
+
+void Domain::round_trip_complete(void* ctx, std::uint64_t rec,
+                                 std::uint64_t) {
+  auto* d = static_cast<Domain*>(ctx);
+  auto* r = reinterpret_cast<RoundTrip*>(rec);
+  sim::Fiber& f = *r->fiber;
+  const sim::Time complete = r->complete;
+  if (!f.kill_pending()) {
+    for (std::size_t i = 0; i < r->nelems; ++i) {
+      std::memcpy(r->dst + static_cast<std::ptrdiff_t>(i) * r->dst_stride *
+                               static_cast<std::ptrdiff_t>(r->elem_bytes),
+                  r->buf + i * r->elem_bytes, r->elem_bytes);
     }
-    engine_.schedule(rt.complete, [this, f, dst, dst_stride, elem_bytes,
-                                   nelems, snapshot, rt] {
-      auto* d = static_cast<std::byte*>(dst);
-      for (std::size_t i = 0; i < nelems; ++i) {
-        std::memcpy(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                            static_cast<std::ptrdiff_t>(elem_bytes),
-                    snapshot->data() + i * elem_bytes, elem_bytes);
-      }
-      engine_.resume(*f, rt.complete);
-    });
-  });
-  engine_.block();
+  }
+  d->buf_pool_.release(r->buf, r->buf_cls);
+  d->rt_pool_.release(r);
+  d->engine_.resume(f, complete);
 }
 
 std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
@@ -651,8 +626,7 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
   if (dst_off + sizeof(std::uint64_t) > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::amo beyond segment");
   }
-  sim::Time exec_at;
-  sim::Time complete_at;
+  net::NodeRoundTrip at;  // RMW at the target, reply at the initiator
   if (node_routed(me, dst_pe)) {
     // Node-local atomic: a CPU lock-prefixed RMW on the owner's cache line,
     // serialized per target PE inside the channel. The NIC atomic unit (or
@@ -679,48 +653,23 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
     ++*nt.elided_msgs;
     *nt.elided_bytes += sizeof(std::uint64_t);
     if (!ch.numa_local(me, dst_pe)) ++*nt.numa_remote;
-    exec_at = rt.exec;
-    complete_at = rt.complete;
+    at = rt;
   } else {
     const auto rt = fabric_.submit_amo(me, dst_pe, sw_, engine_.now());
     if (!rt.ok) {
       engine_.advance_to(rt.complete);
       throw PeerFailedError("amo", me, dst_pe, rt.attempts, rt.complete);
     }
-    exec_at = rt.target_read;
-    complete_at = rt.complete;
+    at = {rt.target_read, rt.complete};
   }
-  note_outstanding(me, exec_at);
-  sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("amo", dst_pe);
-  auto fetched = std::make_shared<std::uint64_t>(0);
-  engine_.schedule(exec_at, [this, op, dst_pe, dst_off, operand, cond,
-                             fetched, t = exec_at] {
-    std::uint64_t old = 0;
-    std::byte* addr = segments_[dst_pe].data() + dst_off;
-    std::memcpy(&old, addr, sizeof old);
-    *fetched = old;
-    std::uint64_t neu = old;
-    bool store = true;
-    switch (op) {
-      case AmoOp::kSwap: neu = operand; break;
-      case AmoOp::kCompareSwap:
-        if (old == cond) neu = operand; else store = false;
-        break;
-      case AmoOp::kFetchAdd: neu = old + operand; break;
-      case AmoOp::kFetchAnd: neu = old & operand; break;
-      case AmoOp::kFetchOr: neu = old | operand; break;
-      case AmoOp::kFetchXor: neu = old ^ operand; break;
-    }
-    if (store) {
-      std::memcpy(addr, &neu, sizeof neu);
-      if (write_hook_) write_hook_({dst_pe, dst_off, sizeof neu, t});
-    }
-  });
-  engine_.schedule(complete_at,
-                   [this, f, complete_at] { engine_.resume(*f, complete_at); });
-  engine_.block();
-  return *fetched;
+  note_outstanding(me, at.exec);
+  std::uint64_t fetched = 0;
+  round_trip("amo", {.dst = reinterpret_cast<std::byte*>(&fetched),
+                     .off = dst_off, .elem_bytes = sizeof fetched, .nelems = 1,
+                     .operand = operand, .cond = cond, .exec = at.exec,
+                     .complete = at.complete, .pe = dst_pe, .amo = true,
+                     .op = op});
+  return fetched;
 }
 
 void Domain::quiet() {

@@ -88,6 +88,57 @@ struct ScatterRec {
 /// travels with each record in the packed message.
 inline constexpr std::size_t kScatterRecWire = 12;
 
+/// Slab pool of intrusive records (any type with a `T* next` link): a free
+/// list in front of bump allocation out of fixed-size slabs, so steady-state
+/// acquire/release never touch the heap. A record comes back as its last
+/// user left it; the issue site writes every field it uses.
+template <typename T>
+class SlabPool {
+ public:
+  T* acquire() {
+    if (free_ != nullptr) {
+      T* r = free_;
+      free_ = r->next;
+      return r;
+    }
+    if (bump_left_ == 0) {
+      slabs_.push_back(std::make_unique_for_overwrite<Slab>());
+      bump_ = slabs_.back()->items;
+      bump_left_ = kSlabItems;
+    }
+    --bump_left_;
+    return bump_++;
+  }
+  void release(T* r) {
+    r->next = free_;
+    free_ = r;
+  }
+
+ private:
+  static constexpr std::size_t kSlabItems = 256;
+  struct Slab {
+    T items[kSlabItems];
+  };
+  std::vector<std::unique_ptr<Slab>> slabs_;
+  T* free_ = nullptr;
+  T* bump_ = nullptr;
+  std::size_t bump_left_ = 0;
+};
+
+/// Power-of-two size-class pool for payload buffers. Buffers are recycled
+/// through per-class free lists (the next pointer lives in the buffer's
+/// first bytes while free); everything is freed when the pool dies.
+class BufPool {
+ public:
+  std::byte* acquire(std::size_t n, std::uint8_t* cls_out);
+  void release(std::byte* p, std::uint8_t cls);
+  ~BufPool();
+
+ private:
+  std::byte* free_[48] = {};
+  std::vector<std::byte*> all_;
+};
+
 /// Notification of a remote update to a PE's segment.
 struct WriteEvent {
   int pe;                 ///< segment owner
@@ -243,7 +294,7 @@ class Domain {
   // one engine event per stream is armed at a time, carrying the head
   // message's *reserved* sequence number so the global (time, seq) pop
   // order — and therefore every simulated result — is byte-identical to
-  // scheduling one closure event per message.
+  // scheduling one event per message.
 
   struct PendingMsg {
     enum class Op : std::uint8_t { kContig, kScatter, kStrided };
@@ -261,41 +312,6 @@ class Domain {
     std::uint32_t payload_bytes; // payload length within buf
     std::uint32_t payload_off;   // kScatter: payload start (after records)
     std::byte* buf;              ///< pooled; records (scatter) + payload
-  };
-
-  /// Slab pool of PendingMsg nodes (free list; no per-message heap traffic
-  /// in steady state).
-  class MsgPool {
-   public:
-    PendingMsg* acquire();
-    void release(PendingMsg* m) {
-      m->next = free_;
-      free_ = m;
-    }
-
-   private:
-    static constexpr std::size_t kSlabMsgs = 256;
-    struct Slab {
-      PendingMsg msgs[kSlabMsgs];
-    };
-    std::vector<std::unique_ptr<Slab>> slabs_;
-    PendingMsg* free_ = nullptr;
-    PendingMsg* bump_ = nullptr;
-    std::size_t bump_left_ = 0;
-  };
-
-  /// Power-of-two size-class pool for payload buffers. Buffers are recycled
-  /// through per-class free lists (the next pointer lives in the buffer's
-  /// first bytes while free); everything is freed at Domain teardown.
-  class BufPool {
-   public:
-    std::byte* acquire(std::size_t n, std::uint8_t* cls_out);
-    void release(std::byte* p, std::uint8_t cls);
-    ~BufPool();
-
-   private:
-    std::byte* free_[48] = {};
-    std::vector<std::byte*> all_;
   };
 
   /// Dense pair ids: per-src open-addressed map dst -> id (linear probing,
@@ -326,6 +342,46 @@ class Domain {
   void stream_fire(std::uint32_t pair);
   static void stream_fire_tramp(void* ctx, std::uint64_t pair, std::uint64_t);
   void apply(const PendingMsg& m);
+
+  // ---- round trips (get, iget, AMO; DESIGN.md §6) ----
+  //
+  // One pooled RoundTrip record and two raw events. Exec, at the target's
+  // read time, gathers the source elements (or applies the AMO and keeps
+  // the old word) into a pooled buffer; it runs even for a killed
+  // initiator. Completion copies the buffer to the initiator, unless it was
+  // killed and its frame unwound, and resumes it.
+  struct RoundTrip {
+    RoundTrip* next{};            ///< pool link
+    sim::Fiber* fiber{};          ///< blocked initiator
+    std::byte* dst{};             ///< initiator's destination
+    std::byte* buf{};             ///< pooled snapshot / fetched word
+    std::uint64_t off{};          ///< target offset (element 0 / AMO word)
+    std::ptrdiff_t src_stride{};  ///< in elements
+    std::ptrdiff_t dst_stride{};  ///< in elements
+    std::size_t elem_bytes{};
+    std::size_t nelems{};
+    std::uint64_t operand{};      ///< AMO operand
+    std::uint64_t cond{};         ///< kCompareSwap comparand
+    sim::Time exec{};             ///< target read / RMW time
+    sim::Time complete{};         ///< reply time at the initiator
+    int pe{};                     ///< target PE
+    bool amo{};                   ///< AMO (op) rather than a read
+    AmoOp op{};
+    std::uint8_t buf_cls{};
+  };
+
+  /// Get (one element of `elem_bytes`) and iget_hw: prices the read on the
+  /// node or fabric route, then blocks on a round trip. `strided` selects
+  /// the NIC-gathered pricing.
+  void read(bool strided, void* dst, std::ptrdiff_t dst_stride, int src_pe,
+            std::uint64_t src_off, std::ptrdiff_t src_stride,
+            std::size_t elem_bytes, std::size_t nelems);
+  /// Pools `rec` for the calling fiber (with a buffer), schedules its
+  /// events and blocks until completion.
+  void round_trip(const char* op, const RoundTrip& rec);
+  static void round_trip_exec(void* ctx, std::uint64_t rec, std::uint64_t);
+  static void round_trip_complete(void* ctx, std::uint64_t rec,
+                                  std::uint64_t);
 
   /// Zero-initialized segment storage backed by calloc so large segments
   /// get lazily-zeroed pages from the OS (simulations with thousands of
@@ -358,7 +414,8 @@ class Domain {
   std::vector<ZeroedBuffer> segments_;
   std::vector<sim::Time> outstanding_;
 
-  MsgPool msg_pool_;
+  SlabPool<PendingMsg> msg_pool_;
+  SlabPool<RoundTrip> rt_pool_;
   BufPool buf_pool_;
   struct PairSlot {
     int dst;           ///< -1 marks an empty slot

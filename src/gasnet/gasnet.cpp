@@ -73,55 +73,62 @@ int World::register_handler(Handler fn) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-void World::am_request(int node, int handler, std::uint64_t arg0,
-                       std::uint64_t arg1, const void* payload,
-                       std::size_t payload_bytes) {
-  assert(handler >= 0 && handler < static_cast<int>(handlers_.size()));
-  const int me = mynode();
-  const auto rt = domain_->fabric().submit_am(me, node, payload_bytes,
-                                              domain_->sw(), engine_.now());
-  if (!rt.ok) {
-    engine_.advance(domain_->sw().put_overhead);
-    throw fabric::PeerFailedError("am", me, node, rt.attempts, rt.complete);
-  }
-  std::vector<std::byte> data(payload_bytes);
-  if (payload_bytes > 0) std::memcpy(data.data(), payload, payload_bytes);
-  engine_.schedule(rt.target_read, [this, handler, me, node, arg0, arg1,
-                                    p = std::move(data), t = rt.target_read] {
-    Token tok{*this, me, node, t};
-    (void)handlers_[handler](tok, std::span<const std::byte>(p), arg0, arg1);
-  });
-  // Request injection costs the sender one put overhead.
-  engine_.advance(domain_->sw().put_overhead);
+void World::am_exec(void* ctx, std::uint64_t rec, std::uint64_t) {
+  auto* w = static_cast<World*>(ctx);
+  auto* r = reinterpret_cast<AmRecord*>(rec);
+  Token tok{*w, r->src, r->dst, r->exec};
+  r->reply = w->handlers_[r->handler](
+      tok, std::span<const std::byte>(r->buf, r->payload_bytes), r->arg0,
+      r->arg1);
+  w->am_bufs_.release(r->buf, r->buf_cls);
+  if (r->fiber == nullptr) w->am_pool_.release(r);
 }
 
-std::uint64_t World::am_request_reply(int node, int handler,
-                                      std::uint64_t arg0, std::uint64_t arg1,
-                                      const void* payload,
-                                      std::size_t payload_bytes) {
+void World::am_complete(void* ctx, std::uint64_t rec, std::uint64_t) {
+  auto* w = static_cast<World*>(ctx);
+  auto* r = reinterpret_cast<AmRecord*>(rec);
+  sim::Fiber& f = *r->fiber;
+  const sim::Time complete = r->complete;
+  if (!f.kill_pending()) *r->result = r->reply;
+  w->am_pool_.release(r);
+  w->engine_.resume(f, complete);
+}
+
+std::uint64_t World::send_am(bool reply, int node, int handler,
+                             std::uint64_t arg0, std::uint64_t arg1,
+                             const void* payload, std::size_t payload_bytes) {
   assert(handler >= 0 && handler < static_cast<int>(handlers_.size()));
   const int me = mynode();
   const auto rt = domain_->fabric().submit_am(me, node, payload_bytes,
                                               domain_->sw(), engine_.now());
   if (!rt.ok) {
-    engine_.advance_to(rt.complete);
-    throw fabric::PeerFailedError("am_reply", me, node, rt.attempts,
-                                  rt.complete);
+    if (reply) {
+      engine_.advance_to(rt.complete);
+    } else {
+      engine_.advance(domain_->sw().put_overhead);
+    }
+    throw fabric::PeerFailedError(reply ? "am_reply" : "am", me, node,
+                                  rt.attempts, rt.complete);
   }
-  std::vector<std::byte> data(payload_bytes);
-  if (payload_bytes > 0) std::memcpy(data.data(), payload, payload_bytes);
-  sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("gasnet_am_reply", node);
-  auto reply = std::make_shared<std::uint64_t>(0);
-  engine_.schedule(rt.target_read, [this, handler, me, node, arg0, arg1, reply,
-                                    p = std::move(data), t = rt.target_read] {
-    Token tok{*this, me, node, t};
-    *reply = handlers_[handler](tok, std::span<const std::byte>(p), arg0, arg1);
-  });
-  engine_.schedule(rt.complete,
-                   [this, f, rt] { engine_.resume(*f, rt.complete); });
+  std::uint64_t result = 0;
+  AmRecord* r = am_pool_.acquire();
+  *r = {.fiber = reply ? engine_.current_fiber() : nullptr, .result = &result,
+        .payload_bytes = payload_bytes, .arg0 = arg0, .arg1 = arg1,
+        .exec = rt.target_read, .complete = rt.complete, .handler = handler,
+        .src = me, .dst = node};
+  r->buf = am_bufs_.acquire(payload_bytes, &r->buf_cls);
+  if (payload_bytes > 0) std::memcpy(r->buf, payload, payload_bytes);
+  const auto rec = reinterpret_cast<std::uint64_t>(r);
+  engine_.schedule_raw(rt.target_read, &am_exec, this, rec);
+  if (!reply) {
+    // Request injection costs the sender one put overhead.
+    engine_.advance(domain_->sw().put_overhead);
+    return 0;
+  }
+  r->fiber->set_block_op("gasnet_am_reply", node);
+  engine_.schedule_raw(rt.complete, &am_complete, this, rec);
   engine_.block();
-  return *reply;
+  return result;
 }
 
 std::int64_t World::load_i64(int node, std::uint64_t off) const {

@@ -90,13 +90,17 @@ class World {
   /// Fire-and-forget AM request (short or medium, depending on payload).
   void am_request(int node, int handler, std::uint64_t arg0,
                   std::uint64_t arg1, const void* payload = nullptr,
-                  std::size_t payload_bytes = 0);
+                  std::size_t payload_bytes = 0) {
+    send_am(false, node, handler, arg0, arg1, payload, payload_bytes);
+  }
   /// AM request that blocks for the handler's 64-bit reply. This is the
   /// primitive CAF-over-GASNet uses to emulate remote atomics.
   std::uint64_t am_request_reply(int node, int handler, std::uint64_t arg0,
                                  std::uint64_t arg1,
                                  const void* payload = nullptr,
-                                 std::size_t payload_bytes = 0);
+                                 std::size_t payload_bytes = 0) {
+    return send_am(true, node, handler, arg0, arg1, payload, payload_bytes);
+  }
 
   /// Barrier (gasnet_barrier_notify/wait rolled into one, dissemination
   /// over nbi puts + local spinning).
@@ -115,12 +119,39 @@ class World {
     sim::Fiber* fiber;
   };
 
+  // One AM in flight, run like fabric::Domain's round trips (DESIGN.md §6):
+  // exec runs the handler at the target even if the requester has been
+  // killed; completion (replies only) then skips the copy to the requester.
+  struct AmRecord {
+    AmRecord* next{};         ///< pool link
+    sim::Fiber* fiber{};      ///< requester awaiting the reply, or nullptr
+    std::uint64_t* result{};  ///< requester's reply slot
+    std::byte* buf{};         ///< pooled payload copy
+    std::size_t payload_bytes{};
+    std::uint64_t arg0{};
+    std::uint64_t arg1{};
+    std::uint64_t reply{};
+    sim::Time exec{};         ///< handler start at the target
+    sim::Time complete{};     ///< reply arrival at the requester
+    int handler{};
+    int src{};
+    int dst{};
+    std::uint8_t buf_cls{};
+  };
+
+  std::uint64_t send_am(bool reply, int node, int handler, std::uint64_t arg0,
+                        std::uint64_t arg1, const void* payload,
+                        std::size_t payload_bytes);
+  static void am_exec(void* ctx, std::uint64_t rec, std::uint64_t);
+  static void am_complete(void* ctx, std::uint64_t rec, std::uint64_t);
   void on_write(const fabric::WriteEvent& ev);
   std::int64_t load_i64(int node, std::uint64_t off) const;
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   std::vector<Handler> handlers_;
+  fabric::SlabPool<AmRecord> am_pool_;
+  fabric::BufPool am_bufs_;
   std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
   std::uint64_t barrier_flags_off_ = 0;  // first kMaxRounds int64s of segment

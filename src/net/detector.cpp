@@ -68,8 +68,6 @@ void FailureDetector::arm(sim::Engine& engine) {
 void FailureDetector::schedule_sweep(sim::Time t) {
   if (sweeping_ || engine_ == nullptr) return;
   sweeping_ = true;
-  // Raw event: sweeps recur every period_ for the whole run, so keep them
-  // off the closure slow path.
   engine_->schedule_raw(
       t,
       [](void* ctx, std::uint64_t a, std::uint64_t) {

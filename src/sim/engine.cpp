@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <new>
 #include <sstream>
 
 namespace sim {
@@ -14,14 +13,6 @@ thread_local EngineStats g_last_stats{};
 
 Engine::Engine(std::size_t default_stack_bytes)
     : default_stack_bytes_(default_stack_bytes) {}
-
-Engine::~Engine() {
-  // Pending closure events own a live std::function; destroy those before
-  // the pool reclaims the slabs. Typed events hold nothing.
-  queue_.drain_dispose([](EventNode* n) {
-    if (n->kind == EventNode::Kind::kClosure) n->u.fn.~function();
-  });
-}
 
 Engine* Engine::current() { return g_current_engine; }
 
@@ -63,15 +54,6 @@ void Engine::spawn_pes(int n, const std::function<void(int)>& body) {
   for (int pe = 0; pe < n; ++pe) {
     spawn(pe, [body, pe] { body(pe); });
   }
-}
-
-void Engine::schedule(Time t, std::function<void()> fn) {
-  EventNode* n = pool_.acquire();
-  n->t = std::max(t, sim_now_);
-  n->seq = next_seq_++;
-  n->kind = EventNode::Kind::kClosure;
-  new (&n->u.fn) std::function<void()>(std::move(fn));
-  queue_.push(n);
 }
 
 void Engine::push_raw(Time t, std::uint64_t seq, RawFn fn, void* ctx,
@@ -253,13 +235,6 @@ void Engine::run() {
           const auto raw = n->u.raw;
           pool_.release(n);
           raw.fn(raw.ctx, raw.a, raw.b);
-          break;
-        }
-        case EventNode::Kind::kClosure: {
-          auto fn = std::move(n->u.fn);
-          n->u.fn.~function();
-          pool_.release(n);
-          fn();
           break;
         }
       }

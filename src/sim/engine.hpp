@@ -9,10 +9,10 @@
 //
 // The hot path is allocation-free: events are typed nodes recycled through a
 // slab pool and ordered by a calendar queue (see sim/event_queue.hpp), and
-// fiber stacks come from a lazy mmap pool (see sim/stack_pool.hpp). Layers
-// with per-message delivery streams schedule through schedule_raw /
-// reserve_seq; the closure-taking schedule() remains as the generic slow
-// path.
+// fiber stacks come from a lazy mmap pool (see sim/stack_pool.hpp). Every
+// layer schedules through schedule_raw / reserve_seq: a function pointer
+// plus a context and two integers, with any per-operation state in a pooled
+// record of the layer's own.
 //
 // Threading model: everything runs on the calling OS thread. Exactly one
 // engine can be running on a thread at a time; Engine::current() returns it
@@ -75,7 +75,6 @@ class Engine {
   /// `default_stack_bytes` sizes fiber stacks created by spawn(); simulated
   /// programs keep bulky data on the heap, so the default is modest.
   explicit Engine(std::size_t default_stack_bytes = 128 * 1024);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -95,14 +94,9 @@ class Engine {
 
   // ---- event scheduling (any context) ----
 
-  /// Schedules `fn` to run on the scheduler context at absolute time `t`
-  /// (clamped to the current virtual time if in the past). Generic slow
-  /// path: the closure lives in a pooled event node but std::function may
-  /// allocate for large captures. Hot layers use schedule_raw.
-  void schedule(Time t, std::function<void()> fn);
-
   /// Allocation-free scheduling: `fn(ctx, a, b)` runs on the scheduler
-  /// context at time `t` (clamped as schedule()).
+  /// context at absolute time `t` (clamped to the current virtual time if
+  /// in the past). Events at equal times run in scheduling order.
   void schedule_raw(Time t, RawFn fn, void* ctx, std::uint64_t a = 0,
                     std::uint64_t b = 0) {
     push_raw(t, next_seq_++, fn, ctx, a, b);

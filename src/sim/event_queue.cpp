@@ -83,7 +83,14 @@ void CalendarQueue::refill() {
 void CalendarQueue::rebuild() {
   std::vector<EventNode*> all;
   all.reserve(size_);
-  drain_dispose([&all](EventNode* n) { all.push_back(n); });
+  all.insert(all.end(), heap_.begin(), heap_.end());
+  all.insert(all.end(), overflow_.begin(), overflow_.end());
+  for (EventNode* head : buckets_) {
+    for (EventNode* n = head; n != nullptr; n = n->next) all.push_back(n);
+  }
+  heap_.clear();
+  overflow_.clear();
+  in_wheel_ = 0;
 
   Time min_t = all.front()->t;
   Time max_t = min_t;

@@ -6,11 +6,11 @@
 // push/pop. At 16k simulated PEs that is the dominant host cost. This file
 // replaces it with:
 //
-//   * EventNode — an intrusive, typed event record. The dominant event
-//     kinds (fiber resume, raw callback used by fabric delivery and the
-//     failure detector) are tagged PODs dispatched by switch; the generic
-//     `schedule(t, fn)` closure survives as the slow-path kind with a
-//     manually managed `std::function` in the payload union.
+//   * EventNode — an intrusive, typed event record. There are two kinds,
+//     both tagged PODs dispatched by switch: fiber resume, and a raw
+//     callback (function pointer + context + two integers) that every
+//     communication layer schedules through. Nothing in a node owns
+//     memory, so a queued node needs no destructor.
 //   * EventPool — slab allocator with a free list. Steady-state
 //     scheduling recycles nodes and never touches the heap; the
 //     hit/miss/slab counters let tests assert exactly that.
@@ -27,9 +27,9 @@
 // identically, byte for byte.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,15 +40,15 @@ namespace sim {
 class Fiber;
 
 /// Raw event callback: no captures, no allocation. `ctx` plus two integer
-/// slots cover every hot scheduling site (fabric delivery streams, detector
-/// sweeps/declares) without a closure.
+/// slots cover every scheduling site (fabric delivery streams, round trips,
+/// AMs, detector sweeps/declares); per-operation state lives in a pooled
+/// record the callback receives through them.
 using RawFn = void (*)(void* ctx, std::uint64_t a, std::uint64_t b);
 
 struct EventNode {
   enum class Kind : std::uint8_t {
     kFiberResume,  ///< resume u.fiber at its own clock
     kRawCall,      ///< u.raw.fn(ctx, a, b)
-    kClosure,      ///< u.fn() — generic slow path
   };
 
   Time t;
@@ -61,10 +61,7 @@ struct EventNode {
       std::uint64_t a;
       std::uint64_t b;
     } raw;
-    std::function<void()> fn;  // constructed/destroyed manually (kClosure)
-    EventNode* next_free;      // free-list link while the node is pooled
-    Payload() {}   // NOLINT: members are managed by the owner
-    ~Payload() {}  // NOLINT
+    EventNode* next_free;  ///< free-list link while the node is pooled
   } u;
   EventNode* next;  ///< intrusive bucket-chain link while queued in the wheel
   Kind kind;
@@ -73,8 +70,8 @@ struct EventNode {
 /// Slab allocator for EventNodes. acquire() pops the free list (a "hit",
 /// zero heap traffic); when the list is dry it bump-allocates out of the
 /// current slab, touching the heap only once per kSlabNodes events. The
-/// payload union is returned raw: the caller sets `kind` and constructs the
-/// matching member, and destroys it (kClosure only) before release().
+/// payload union is returned raw: the caller sets `kind` and the matching
+/// member.
 class EventPool {
  public:
   static constexpr std::size_t kSlabNodes = 512;
@@ -139,26 +136,6 @@ class CalendarQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-
-  /// Visits every queued node (arbitrary order) and empties the queue.
-  /// Teardown-only: lets the engine destroy kClosure payloads.
-  template <typename Fn>
-  void drain_dispose(Fn&& fn) {
-    for (EventNode* n : heap_) fn(n);
-    for (EventNode* n : overflow_) fn(n);
-    for (auto& b : buckets_) {
-      for (EventNode* n = b; n != nullptr;) {
-        EventNode* next = n->next;
-        fn(n);
-        n = next;
-      }
-      b = nullptr;
-    }
-    heap_.clear();
-    overflow_.clear();
-    in_wheel_ = 0;
-    size_ = 0;
-  }
 
  private:
   static constexpr std::size_t kInitialBuckets = 256;

@@ -17,6 +17,10 @@ using namespace sim::literals;
 
 namespace {
 
+void kill_pe0(void* engine, std::uint64_t, std::uint64_t) {
+  static_cast<sim::Engine*>(engine)->kill_pe(0);
+}
+
 struct World {
   sim::Engine engine;
   net::Fabric fabric;
@@ -224,6 +228,59 @@ TEST(Domain, OutOfRangeAccessThrows) {
     EXPECT_THROW(w.domain.get(&c, 16, 5000, 1), std::out_of_range);
   });
   w.engine.run();
+}
+
+// A read's reply reaches an initiator that was killed while the request was
+// in flight. The initiator's frame has unwound, and with it the vector the
+// reply was headed for: the completion must not copy into it.
+TEST(Domain, GetToKilledInitiatorWritesNoFreedMemory) {
+  World w;
+  bool returned = false;
+  w.engine.spawn(0, [&] {
+    std::vector<std::byte> dst(4096);
+    w.domain.get(dst.data(), 16, 0, 4096);
+    returned = true;
+  });
+  w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);
+  w.engine.run();
+  EXPECT_FALSE(returned);
+  EXPECT_TRUE(w.engine.pe_failed(0));
+}
+
+TEST(Domain, StridedGetToKilledInitiatorWritesNoFreedMemory) {
+  World w(32, net::Machine::kXC30, net::Library::kShmemCray);
+  bool returned = false;
+  w.engine.spawn(0, [&] {
+    std::vector<std::byte> dst(4096);
+    w.domain.iget_hw(dst.data(), 2, 24, 0, 1, 64, 32);
+    returned = true;
+  });
+  w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);
+  w.engine.run();
+  EXPECT_FALSE(returned);
+  EXPECT_TRUE(w.engine.pe_failed(0));
+}
+
+// The request is on the wire when its initiator dies: the target still
+// applies the AMO, at the same virtual time as when nobody dies.
+TEST(Domain, AmoFromKilledInitiatorStillUpdatesTarget) {
+  auto run = [](bool kill) {
+    World w;
+    sim::Time updated_at = -1;
+    w.domain.set_write_hook([&](const WriteEvent& e) { updated_at = e.time; });
+    w.engine.spawn(0, [&] { w.domain.amo(AmoOp::kFetchAdd, 16, 8, 5); });
+    if (kill) w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);
+    w.engine.run();
+    std::uint64_t word = 0;
+    std::memcpy(&word, w.domain.segment(16) + 8, sizeof word);
+    EXPECT_EQ(word, 5u);
+    EXPECT_EQ(w.engine.pe_failed(0), kill);
+    return updated_at;
+  };
+  const sim::Time clean = run(false);
+  const sim::Time killed = run(true);
+  EXPECT_GT(killed, 100_ns);
+  EXPECT_EQ(killed, clean);
 }
 
 TEST(Verbs, ApiRoundTrip) {

@@ -30,6 +30,42 @@ struct Harness {
 
 constexpr std::uint64_t kOff = gasnet::World::reserved_bytes() + 64;
 
+void kill_node0(void* engine, std::uint64_t, std::uint64_t) {
+  static_cast<sim::Engine*>(engine)->kill_pe(0);
+}
+
+/// Node 0 sends one AM (with a reply when `reply`) to node 16 and, when
+/// `kill`, is killed at 100 ns, after injection. Returns the handler's start
+/// time at the target, or -1 when it never ran.
+sim::Time am_to_16(bool reply, bool kill) {
+  Harness h(32);
+  sim::Time ran_at = -1;
+  const int hidx = h.world.register_handler(
+      [&](const Token& tok, std::span<const std::byte> payload,
+          std::uint64_t a0, std::uint64_t) -> std::uint64_t {
+        EXPECT_EQ(tok.src_node, 0);
+        EXPECT_EQ(tok.dst_node, 16);
+        EXPECT_EQ(a0, 7u);
+        EXPECT_EQ(payload.size(), 3u);
+        ran_at = tok.when;
+        return 42;
+      });
+  h.world.launch([&] {
+    if (h.world.mynode() != 0) return;
+    const char pay[3] = {'a', 'b', 'c'};
+    if (reply) {
+      std::uint64_t got = h.world.am_request_reply(16, hidx, 7, 0, pay, 3);
+      EXPECT_EQ(got, 42u);
+    } else {
+      h.world.am_request(16, hidx, 7, 0, pay, 3);
+    }
+  });
+  if (kill) h.engine.schedule_raw(100, &kill_node0, &h.engine);
+  h.engine.run();
+  EXPECT_EQ(h.engine.pe_failed(0), kill);
+  return ran_at;
+}
+
 }  // namespace
 
 TEST(Gasnet, BlockingPutIsRemotelyComplete) {
@@ -102,6 +138,20 @@ TEST(Gasnet, AmRequestRunsHandlerOnTarget) {
     h.world.barrier();
   });
   EXPECT_EQ(handler_runs, 1);
+}
+
+TEST(Gasnet, AmFromKilledSenderStillRunsHandler) {
+  const sim::Time clean = am_to_16(false, false);
+  const sim::Time killed = am_to_16(false, true);
+  EXPECT_GT(killed, 100);
+  EXPECT_EQ(killed, clean);
+}
+
+TEST(Gasnet, AmReplyToKilledRequesterStillRunsHandler) {
+  const sim::Time clean = am_to_16(true, false);
+  const sim::Time killed = am_to_16(true, true);
+  EXPECT_GT(killed, 100);
+  EXPECT_EQ(killed, clean);
 }
 
 TEST(Gasnet, AmReplyEmulatesFetchAdd) {

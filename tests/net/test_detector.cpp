@@ -11,6 +11,8 @@
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
+#include "../closure_events.hpp"
+
 namespace {
 
 std::uint64_t fd_counter(const char* name) {
@@ -111,7 +113,8 @@ TEST(FailureDetector, ExhaustionEvidenceDeclaresImmediately) {
   net::FaultPlan plan;
   plan.straggle_pe(3, 2.0);  // any grey feature arms the detector
   DetectorRig rig(std::move(plan), 8, 2);
-  rig.engine.schedule(10'000, [&] {
+  simtest::Closures ev(rig.engine);
+  ev.schedule(10'000, [&] {
     rig.det().report_exhaustion(0, 6, sim::Time{10'000});
   });
   rig.engine.run();

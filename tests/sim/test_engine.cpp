@@ -6,24 +6,29 @@
 
 #include <vector>
 
+#include "../closure_events.hpp"
+
 using namespace sim;
 using namespace sim::literals;
+using simtest::Closures;
 
 TEST(Engine, EventsRunInTimeOrder) {
   Engine eng;
+  Closures ev(eng);
   std::vector<int> order;
-  eng.schedule(30_ns, [&] { order.push_back(3); });
-  eng.schedule(10_ns, [&] { order.push_back(1); });
-  eng.schedule(20_ns, [&] { order.push_back(2); });
+  ev.schedule(30_ns, [&] { order.push_back(3); });
+  ev.schedule(10_ns, [&] { order.push_back(1); });
+  ev.schedule(20_ns, [&] { order.push_back(2); });
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Engine, TiesBreakByInsertionOrder) {
   Engine eng;
+  Closures ev(eng);
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    eng.schedule(5_ns, [&, i] { order.push_back(i); });
+    ev.schedule(5_ns, [&, i] { order.push_back(i); });
   }
   eng.run();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
@@ -31,9 +36,10 @@ TEST(Engine, TiesBreakByInsertionOrder) {
 
 TEST(Engine, PastEventsClampToNow) {
   Engine eng;
+  Closures ev(eng);
   Time seen = -1;
-  eng.schedule(100_ns, [&] {
-    eng.schedule(1_ns, [&] { seen = eng.sim_now(); });
+  ev.schedule(100_ns, [&] {
+    ev.schedule(1_ns, [&] { seen = eng.sim_now(); });
   });
   eng.run();
   EXPECT_EQ(seen, 100_ns);
@@ -56,8 +62,9 @@ TEST(Engine, FiberAdvancesOwnClock) {
 TEST(Engine, AdvanceYieldsToEarlierEvents) {
   // A fiber advancing past t=50 must let a t=50 event run before it resumes.
   Engine eng;
+  Closures ev(eng);
   std::vector<int> order;
-  eng.schedule(50_ns, [&] { order.push_back(1); });
+  ev.schedule(50_ns, [&] { order.push_back(1); });
   eng.spawn(0, [&] {
     this_pe::advance(100_ns);
     order.push_back(2);
@@ -68,8 +75,9 @@ TEST(Engine, AdvanceYieldsToEarlierEvents) {
 
 TEST(Engine, TickDoesNotYield) {
   Engine eng;
+  Closures ev(eng);
   std::vector<int> order;
-  eng.schedule(50_ns, [&] { order.push_back(1); });
+  ev.schedule(50_ns, [&] { order.push_back(1); });
   eng.spawn(0, [&] {
     Engine::current()->tick(100_ns);
     order.push_back(2);  // runs before the t=50 event: tick never yields
@@ -80,6 +88,7 @@ TEST(Engine, TickDoesNotYield) {
 
 TEST(Engine, BlockAndResume) {
   Engine eng;
+  Closures ev(eng);
   Time resumed_at = -1;
   Fiber* waiter = nullptr;
   eng.spawn(0, [&] {
@@ -87,13 +96,14 @@ TEST(Engine, BlockAndResume) {
     Engine::current()->block();
     resumed_at = this_pe::now();
   });
-  eng.schedule(10_ns, [&] { eng.resume(*waiter, 70_ns); });
+  ev.schedule(10_ns, [&] { eng.resume(*waiter, 70_ns); });
   eng.run();
   EXPECT_EQ(resumed_at, 70_ns);
 }
 
 TEST(Engine, ResumeNeverMovesClockBackwards) {
   Engine eng;
+  Closures ev(eng);
   Time resumed_at = -1;
   Fiber* waiter = nullptr;
   eng.spawn(0, [&] {
@@ -102,7 +112,7 @@ TEST(Engine, ResumeNeverMovesClockBackwards) {
     Engine::current()->block();
     resumed_at = this_pe::now();
   });
-  eng.schedule(600_ns, [&] { eng.resume(*waiter, 100_ns); });
+  ev.schedule(600_ns, [&] { eng.resume(*waiter, 100_ns); });
   eng.run();
   EXPECT_EQ(resumed_at, 500_ns);  // clock stays at max(own, resume time)
 }
@@ -155,16 +165,17 @@ TEST(Engine, UnfinishedCounterMatchesScan) {
   // The live counter must track the O(n) recount through spawns, staggered
   // finishes, and a mid-run kill.
   Engine eng;
+  Closures ev(eng);
   std::vector<std::pair<int, int>> probes;
   eng.spawn_pes(8, [&](int pe) { this_pe::advance(Time{10} * (pe + 1)); });
   for (Time t = 0; t <= 100; t += 25) {
-    eng.schedule(t, [&] {
+    ev.schedule(t, [&] {
       probes.emplace_back(eng.fibers_unfinished(), eng.fibers_unfinished_scan());
     });
   }
   // pe 7 is mid-advance (finishes at t=80) when the kill lands at t=35: it
   // stays counted until its pending resume unwinds it via FiberKilled.
-  eng.schedule(35_ns, [&] { eng.kill_pe(7); });
+  ev.schedule(35_ns, [&] { eng.kill_pe(7); });
   EXPECT_EQ(eng.fibers_unfinished(), eng.fibers_unfinished_scan());
   eng.run();  // every fiber retires (7 normally, one unwound), so no error
   ASSERT_EQ(probes.size(), 5u);
@@ -174,10 +185,11 @@ TEST(Engine, UnfinishedCounterMatchesScan) {
 
 TEST(Engine, NestedSchedulingFromFibers) {
   Engine eng;
+  Closures ev(eng);
   int hits = 0;
   eng.spawn(0, [&] {
     Engine* e = Engine::current();
-    e->schedule(e->now() + 5_ns, [&] { ++hits; });
+    ev.schedule(e->now() + 5_ns, [&] { ++hits; });
     this_pe::advance(10_ns);
     EXPECT_EQ(hits, 1);
   });

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "../closure_events.hpp"
+
 using namespace sim;
 
 namespace {
@@ -81,11 +83,12 @@ TEST(EngineScale, StackPoolRecyclesRunToCompletionFibers) {
 
 TEST(EngineScale, KillBeforeFirstSwitchInAllocatesNoStack) {
   Engine eng(16 * 1024);
+  simtest::Closures ev(eng);
   bool victim_ran = false;
   // The kill event is scheduled before the fibers are spawned, so at equal
   // time its sequence number wins and the victim is still kCreated — it
   // must be retired without a stack ever being mapped.
-  eng.schedule(0, [&] { eng.kill_pe(1); });
+  ev.schedule(0, [&] { eng.kill_pe(1); });
   eng.spawn(0, [&] { this_pe::advance(Time{10}); });
   eng.spawn(1, [&] { victim_ran = true; });
   eng.run();
@@ -99,8 +102,9 @@ TEST(EngineScale, MassKillDuringLazyStacksRetiresCleanly) {
   constexpr int kN = 4096;
   constexpr int kKilled = 64;
   Engine eng(16 * 1024);
+  simtest::Closures ev(eng);
   long ran = 0;
-  eng.schedule(0, [&] {
+  ev.schedule(0, [&] {
     for (int pe = 0; pe < kKilled; ++pe) eng.kill_pe(pe);
   });
   eng.spawn_pes(kN, [&](int) {
