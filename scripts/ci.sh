@@ -149,17 +149,10 @@ for row in data["dht_insert"]:
 print(f"rpc smoke ok: best rtt am={rtts['am']}ns mailbox={rtts['mailbox']}ns")
 EOF
 
-echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
-# Host-side engine health: queue events/sec, fiber switches/sec, zero
-# steady-state heap slabs (exact-match gate), and the two at-scale smokes
-# (16k-image barrier storm and Himeno). Simulated event counts and MFLOPS
-# in the JSON double as byte-identity checks; wall times get a loose
-# tolerance below because they are host measurements, not DES output.
-./build-release/bench/engine_micro --json "$ART/BENCH_engine.json"
-
 echo "=== Bench diff vs checked-in baselines (>10% = fail) ==="
 # The diff gate checks itself first: a broken bench_diff.py would wave
-# regressions through silently.
+# regressions through silently. These diffs and the traced fig9 leg run
+# before the engine smoke, so an abort there cannot hide them.
 python3 scripts/bench_diff.py --selftest
 python3 scripts/bench_diff.py bench/baselines/BENCH_rma.json "$ART/BENCH_rma.json"
 python3 scripts/bench_diff.py bench/baselines/BENCH_coll.json "$ART/BENCH_coll.json"
@@ -167,8 +160,6 @@ python3 scripts/bench_diff.py bench/baselines/BENCH_intranode.json "$ART/BENCH_i
 python3 scripts/bench_diff.py bench/baselines/BENCH_chaos.json "$ART/BENCH_chaos.json"
 python3 scripts/bench_diff.py bench/baselines/BENCH_dht_serve.json "$ART/BENCH_dht_serve.json"
 python3 scripts/bench_diff.py bench/baselines/BENCH_rpc.json "$ART/BENCH_rpc.json"
-python3 scripts/bench_diff.py --tolerance 0.5 \
-  bench/baselines/BENCH_engine.json "$ART/BENCH_engine.json"
 
 echo "=== Observability smoke: traced fig9_dht ==="
 # One traced DHT run at 8 images; the Chrome trace must be valid JSON and
@@ -176,5 +167,15 @@ echo "=== Observability smoke: traced fig9_dht ==="
 CAF_TRACE="$ART/fig9_dht_trace.json" ./build-release/bench/fig9_dht --smoke 8
 python3 -m json.tool "$ART/fig9_dht_trace.json" > /dev/null
 echo "trace artifact ok: $ART/fig9_dht_trace.json"
+
+echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
+# Host-side engine health: queue events/sec, fiber switches/sec, zero
+# steady-state heap slabs (exact-match gate), and the two at-scale smokes
+# (16k-image barrier storm and Himeno). Simulated event counts and MFLOPS
+# in the JSON double as byte-identity checks; wall times get a loose
+# tolerance below because they are host measurements, not DES output.
+./build-release/bench/engine_micro --json "$ART/BENCH_engine.json"
+python3 scripts/bench_diff.py --tolerance 0.5 \
+  bench/baselines/BENCH_engine.json "$ART/BENCH_engine.json"
 
 echo "=== CI passed ==="

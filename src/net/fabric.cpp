@@ -65,16 +65,23 @@ sim::Time Fabric::wire(int src_pe, int dst_pe, double occupancy_ns,
   return wire_rx(node_of(dst_pe), arrival);
 }
 
-Fabric::WireTry Fabric::wire_faulty(int src_pe, int dst_pe,
-                                    double occupancy_ns, sim::Time start) {
-  const bool local = same_node(src_pe, dst_pe);
-  if (faults_ == nullptr || (local && !faults_->intra_node_faults())) {
-    // Intra-node "wire" is a shared-memory copy; loss does not apply (and,
-    // unless the plan opts in, neither do kills/stragglers — flipping that
-    // default would move every checked-in golden trace).
-    return {wire(src_pe, dst_pe, occupancy_ns, start), false};
+bool Fabric::faulty(int src_pe, int dst_pe) const {
+  // Intra-node "wire" is a shared-memory copy; unless the plan opts in,
+  // faults do not apply to it (flipping that default would move every
+  // checked-in golden trace).
+  return faults_ != nullptr &&
+         (faults_->intra_node_faults() || !same_node(src_pe, dst_pe));
+}
+
+Fabric::WireTry Fabric::leg(Leg kind, int src_pe, int dst_pe,
+                            double occupancy_ns, sim::Time start) {
+  if (!faulty(src_pe, dst_pe)) {
+    return {kind == Leg::kData ? wire(src_pe, dst_pe, occupancy_ns, start)
+                               : wire_control(src_pe, dst_pe, occupancy_ns,
+                                              start),
+            false};
   }
-  if (local) {
+  if (same_node(src_pe, dst_pe)) {
     // Opt-in honest intra-node semantics: the copy is producer CPU work, so
     // straggler dilation stretches it, and a killed receiver's segment is
     // detached — the store faults instead of landing. No loss, duplication,
@@ -86,28 +93,29 @@ Fabric::WireTry Fabric::wire_faulty(int src_pe, int dst_pe,
     faults_->note_delivery(src_pe, dst_pe, delivered);
     return {delivered, false};
   }
-  // Flaky-link bandwidth degradation inflates occupancy (factor 1.0 when
-  // the link is clean, so fault-free plans stay bit-identical).
-  const double occ = occupancy_ns * faults_->bw_penalty(src_pe, dst_pe, start);
-  // The transmit leg is always paid: the bytes leave the source NIC whether
-  // or not they survive the fabric.
-  const sim::Time arrival = wire_tx(node_of(src_pe), occ, start);
-  if (faults_->pe_dead(dst_pe, arrival)) {
-    // Dead receivers neither retire the message nor ack it.
-    return {arrival, true};
-  }
-  // Partitions drop deterministically, before the verdict and with no rng
-  // draws, so runs differing only in partitions keep aligned judge streams.
-  if (faults_->partition_drop(src_pe, dst_pe, start)) return {arrival, true};
-  const FaultInjector::Verdict v = faults_->judge(src_pe, dst_pe, start);
+  // Flaky-link bandwidth degradation inflates a data leg's occupancy (factor
+  // 1.0 when the link is clean, so fault-free plans stay bit-identical). The
+  // transmit leg is always paid: the bytes leave the source NIC whether or
+  // not they survive the fabric.
+  const double occ =
+      kind == Leg::kData
+          ? occupancy_ns * faults_->bw_penalty(src_pe, dst_pe, start)
+          : occupancy_ns;
+  const sim::Time arrival =
+      kind == Leg::kData ? wire_tx(node_of(src_pe), occ, start)
+                         : wire_control(src_pe, dst_pe, occ, start);
+  const FaultInjector::Verdict v =
+      faults_->fate(src_pe, dst_pe, start, arrival);
   if (v.drop) return {arrival, true};
-  if (faults_->flaky_drop(src_pe, dst_pe, start)) return {arrival, true};
-  sim::Time delivered = wire_rx(node_of(dst_pe), arrival) + v.extra_delay;
-  if (v.duplicate) {
-    // A duplicate consumes a second full wire trip; the receiver dedups by
-    // sequence number so only the timing cost is observable.
-    const sim::Time dup_arrival = wire_tx(node_of(src_pe), occ, arrival);
-    (void)wire_rx(node_of(dst_pe), dup_arrival);
+  sim::Time delivered = arrival + v.extra_delay;
+  if (kind == Leg::kData) {
+    delivered = wire_rx(node_of(dst_pe), arrival) + v.extra_delay;
+    if (v.duplicate) {
+      // A duplicate consumes a second full wire trip; the receiver dedups by
+      // sequence number so only the timing cost is observable.
+      const sim::Time dup_arrival = wire_tx(node_of(src_pe), occ, arrival);
+      (void)wire_rx(node_of(dst_pe), dup_arrival);
+    }
   }
   // A delivered message doubles as liveness evidence for its sender
   // (heartbeat piggybacking; no-op without an armed detector).
@@ -115,83 +123,73 @@ Fabric::WireTry Fabric::wire_faulty(int src_pe, int dst_pe,
   return {delivered, false};
 }
 
+template <class Attempt>
+Fabric::Exchange Fabric::exchange(int src_pe, int dst_pe, sim::Time start,
+                                  double expected_ns, sim::Time ack_tail,
+                                  Attempt&& attempt) {
+  if (!faulty(src_pe, dst_pe)) return {attempt(start).delivered, 1, true};
+  const bool local = same_node(src_pe, dst_pe);
+  const int max_attempts = 1 + faults_->retry().max_retransmits;
+  sim::Time send = start;
+  for (int a = 1;; ++a) {
+    const WireTry t = attempt(send);
+    if (!t.dropped) {
+      if (!local) {
+        faults_->record_rtt(src_pe, dst_pe, t.delivered - send + ack_tail, a);
+      }
+      return {t.delivered, a, true};
+    }
+    // Shared memory has no retransmit: a dead peer's segment is detached,
+    // so the first loss is final.
+    if (!local) send += faults_->retrans_timeout(src_pe, dst_pe, a - 1,
+                                                 expected_ns);
+    const sim::Time give_up = local ? t.delivered : send;
+    // A dead initiator sends nothing more: the exchange ends where its last
+    // attempt was lost, and its silence is no evidence against the target.
+    if (faults_->pe_dead(src_pe, give_up)) {
+      return {t.delivered, a, false, /*initiator_died=*/true};
+    }
+    if (local || a == max_attempts) {
+      faults_->note_exhaustion(src_pe, dst_pe, give_up);
+      return {give_up, a, false};
+    }
+  }
+}
+
 PutCompletion Fabric::reliable_oneway(int src_pe, int dst_pe,
                                       double occupancy_ns,
                                       sim::Time local_complete) {
-  const bool local = same_node(src_pe, dst_pe);
-  if (faults_ == nullptr || (local && !faults_->intra_node_faults())) {
-    return {local_complete,
-            wire(src_pe, dst_pe, occupancy_ns, local_complete), true, 1};
-  }
-  if (local) {
-    const WireTry t =
-        wire_faulty(src_pe, dst_pe, occupancy_ns, local_complete);
-    if (!t.dropped) return {local_complete, t.delivered, true, 1};
-    // A store into a dead peer's detached segment cannot be retried.
-    faults_->note_exhaustion(src_pe, dst_pe, t.delivered);
-    return {local_complete, t.delivered, false, 1};
-  }
-  const int max_attempts = 1 + faults_->retry().max_retransmits;
   const double expected_oneway =
       occupancy_ns + static_cast<double>(profile_.hw_latency);
-  sim::Time send = local_complete;
-  for (int a = 0; a < max_attempts; ++a) {
-    const WireTry t = wire_faulty(src_pe, dst_pe, occupancy_ns, send);
-    if (!t.dropped) {
-      // Ack round trip approximates delivery + the return-leg latency.
-      faults_->record_rtt(src_pe, dst_pe,
-                          t.delivered - send + profile_.hw_latency, a + 1);
-      return {local_complete, t.delivered, true, a + 1};
-    }
-    send += faults_->retrans_timeout(src_pe, dst_pe, a, expected_oneway);
-  }
-  faults_->note_exhaustion(src_pe, dst_pe, send);
-  return {local_complete, send, false, max_attempts};
+  // The ack round trip approximates delivery + the return-leg latency.
+  const Exchange x = exchange(
+      src_pe, dst_pe, local_complete, expected_oneway, profile_.hw_latency,
+      [&](sim::Time send) {
+        return leg(Leg::kData, src_pe, dst_pe, occupancy_ns, send);
+      });
+  return {local_complete, x.done, x.ok, x.attempts};
 }
 
 RoundTrip Fabric::reliable_get(int src_pe, int dst_pe,
                                double req_occupancy_ns,
                                double reply_occupancy_ns, sim::Time start) {
-  const bool local = same_node(src_pe, dst_pe);
-  if (faults_ == nullptr || (local && !faults_->intra_node_faults())) {
-    const sim::Time req_arrival =
-        wire(src_pe, dst_pe, req_occupancy_ns, start);
-    const sim::Time reply =
-        wire(dst_pe, src_pe, reply_occupancy_ns, req_arrival);
-    return {req_arrival, reply, true, 1};
-  }
-  if (local) {
-    const WireTry req = wire_faulty(src_pe, dst_pe, req_occupancy_ns, start);
-    if (!req.dropped) {
-      const WireTry rep =
-          wire_faulty(dst_pe, src_pe, reply_occupancy_ns, req.delivered);
-      if (!rep.dropped) return {req.delivered, rep.delivered, true, 1};
-    }
-    // Reading a dead peer's detached segment faults; no retry can help.
-    faults_->note_exhaustion(src_pe, dst_pe, req.delivered);
-    return {req.delivered, req.delivered, false, 1};
-  }
-  const int max_attempts = 1 + faults_->retry().max_retransmits;
   const double expected_rtt = req_occupancy_ns + reply_occupancy_ns +
                               2.0 * static_cast<double>(profile_.hw_latency);
-  sim::Time send = start;
-  for (int a = 0; a < max_attempts; ++a) {
-    const WireTry req = wire_faulty(src_pe, dst_pe, req_occupancy_ns, send);
-    if (!req.dropped) {
-      // The target NIC re-reads memory on every (re)request, so each retry
-      // snapshots afresh; the last successful request's snapshot is the one
-      // the caller observes.
-      const WireTry rep =
-          wire_faulty(dst_pe, src_pe, reply_occupancy_ns, req.delivered);
-      if (!rep.dropped) {
-        faults_->record_rtt(src_pe, dst_pe, rep.delivered - send, a + 1);
-        return {req.delivered, rep.delivered, true, a + 1};
-      }
-    }
-    send += faults_->retrans_timeout(src_pe, dst_pe, a, expected_rtt);
-  }
-  faults_->note_exhaustion(src_pe, dst_pe, send);
-  return {send, send, false, max_attempts};
+  sim::Time target_read = 0;
+  const Exchange x = exchange(
+      src_pe, dst_pe, start, expected_rtt, 0, [&](sim::Time send) {
+        const WireTry req =
+            leg(Leg::kData, src_pe, dst_pe, req_occupancy_ns, send);
+        if (req.dropped) return req;
+        // The target NIC re-reads memory on every (re)request, so each retry
+        // snapshots afresh; the last successful request's snapshot is the
+        // one the caller observes.
+        target_read = req.delivered;
+        return leg(Leg::kData, dst_pe, src_pe, reply_occupancy_ns,
+                   req.delivered);
+      });
+  if (!x.ok) return {x.done, x.done, false, x.attempts};
+  return {target_read, x.done, true, x.attempts};
 }
 
 sim::Time Fabric::wire_control(int src_pe, int dst_pe, double occupancy_ns,
@@ -201,6 +199,39 @@ sim::Time Fabric::wire_control(int src_pe, int dst_pe, double occupancy_ns,
   }
   return start + sim::from_ns(occupancy_ns) + profile_.hw_latency +
          profile_.rx_msg_gap;
+}
+
+RoundTrip Fabric::reliable_exec(int src_pe, int dst_pe,
+                                double req_occupancy_ns,
+                                double reply_occupancy_ns, sim::Time start,
+                                sim::Time unit_cost, bool read_at_exec_done) {
+  const double expected_rtt = req_occupancy_ns + reply_occupancy_ns +
+                              2.0 * static_cast<double>(profile_.hw_latency) +
+                              static_cast<double>(unit_cost);
+  sim::Time exec_start = 0;
+  sim::Time exec_done = -1;  // -1: not executed yet
+  const Exchange x = exchange(
+      src_pe, dst_pe, start, expected_rtt, 0, [&](sim::Time send) {
+        const WireTry req =
+            leg(Leg::kData, src_pe, dst_pe, req_occupancy_ns, send);
+        if (req.dropped) return req;
+        if (exec_done < 0) {
+          // First delivered request executes, serialized per target PE (NIC
+          // atomic unit or target CPU handler queue); later deliveries hit
+          // the sequence-number dedup cache and only resend the reply.
+          exec_start = std::max(req.delivered, pe_proc_free_[dst_pe]);
+          exec_done = exec_start + unit_cost;
+          pe_proc_free_[dst_pe] = exec_done;
+        }
+        return leg(Leg::kControl, dst_pe, src_pe, reply_occupancy_ns,
+                   std::max(exec_done, req.delivered));
+      });
+  // A request the target executed stays executed, even when its initiator
+  // died before the reply could land (DESIGN.md §6, killed initiators).
+  const bool executed = x.ok || (x.initiator_died && exec_done >= 0);
+  if (!executed) return {x.done, x.done, false, x.attempts};
+  return {read_at_exec_done ? exec_done : exec_start, x.done, true,
+          x.attempts};
 }
 
 PutCompletion Fabric::submit_put(int src_pe, int dst_pe, std::size_t bytes,
@@ -274,76 +305,6 @@ RoundTrip Fabric::submit_strided_get(int src_pe, int dst_pe,
   return r;
 }
 
-RoundTrip Fabric::reliable_exec(int src_pe, int dst_pe,
-                                double req_occupancy_ns,
-                                double reply_occupancy_ns, sim::Time start,
-                                sim::Time unit_cost, bool read_at_exec_done) {
-  const bool local = same_node(src_pe, dst_pe);
-  if (faults_ == nullptr || (local && !faults_->intra_node_faults())) {
-    const sim::Time req_arrival =
-        wire(src_pe, dst_pe, req_occupancy_ns, start);
-    // Execution at the target serializes per PE (NIC atomic unit or target
-    // CPU handler queue).
-    const sim::Time exec_start = std::max(req_arrival, pe_proc_free_[dst_pe]);
-    const sim::Time exec_done = exec_start + unit_cost;
-    pe_proc_free_[dst_pe] = exec_done;
-    const sim::Time reply =
-        wire_control(dst_pe, src_pe, reply_occupancy_ns, exec_done);
-    return {read_at_exec_done ? exec_done : exec_start, reply, true, 1};
-  }
-  if (local) {
-    // Same-node exec with honored faults: one attempt against the target's
-    // atomic unit; a dead target can't execute and the caller must not
-    // apply the RMW/handler.
-    const WireTry req = wire_faulty(src_pe, dst_pe, req_occupancy_ns, start);
-    if (req.dropped) {
-      faults_->note_exhaustion(src_pe, dst_pe, req.delivered);
-      return {req.delivered, req.delivered, false, 1};
-    }
-    const sim::Time exec_start = std::max(req.delivered, pe_proc_free_[dst_pe]);
-    const sim::Time exec_done = exec_start + unit_cost;
-    pe_proc_free_[dst_pe] = exec_done;
-    const sim::Time reply =
-        wire_control(dst_pe, src_pe, reply_occupancy_ns, exec_done);
-    return {read_at_exec_done ? exec_done : exec_start, reply, true, 1};
-  }
-  const int max_attempts = 1 + faults_->retry().max_retransmits;
-  const double expected_rtt = req_occupancy_ns + reply_occupancy_ns +
-                              2.0 * static_cast<double>(profile_.hw_latency) +
-                              static_cast<double>(unit_cost);
-  sim::Time send = start;
-  sim::Time exec_start = 0;
-  sim::Time exec_done = -1;  // -1: not executed yet
-  for (int a = 0; a < max_attempts; ++a) {
-    const WireTry req = wire_faulty(src_pe, dst_pe, req_occupancy_ns, send);
-    if (!req.dropped) {
-      if (exec_done < 0) {
-        // First delivered request executes; later deliveries hit the
-        // sequence-number dedup cache and only resend the reply.
-        exec_start = std::max(req.delivered, pe_proc_free_[dst_pe]);
-        exec_done = exec_start + unit_cost;
-        pe_proc_free_[dst_pe] = exec_done;
-      }
-      const sim::Time reply_start = std::max(exec_done, req.delivered);
-      // The reply is a control message (no data-link reservation) but can
-      // itself be lost; judge it like any other inter-node message.
-      const FaultInjector::Verdict v =
-          faults_->judge(dst_pe, src_pe, reply_start);
-      if (!v.drop) {
-        const sim::Time reply =
-            wire_control(dst_pe, src_pe, reply_occupancy_ns, reply_start) +
-            v.extra_delay;
-        faults_->record_rtt(src_pe, dst_pe, reply - send, a + 1);
-        return {read_at_exec_done ? exec_done : exec_start, reply, true,
-                a + 1};
-      }
-    }
-    send += faults_->retrans_timeout(src_pe, dst_pe, a, expected_rtt);
-  }
-  faults_->note_exhaustion(src_pe, dst_pe, send);
-  return {send, send, false, max_attempts};
-}
-
 RoundTrip Fabric::submit_amo(int src_pe, int dst_pe, const SwProfile& sw,
                              sim::Time now) {
   const bool local = same_node(src_pe, dst_pe);
@@ -366,51 +327,17 @@ RoundTrip Fabric::submit_amo(int src_pe, int dst_pe, const SwProfile& sw,
 
 PutCompletion Fabric::submit_reply(int src_pe, int dst_pe, std::size_t bytes,
                                    const SwProfile& sw, sim::Time now) {
-  const bool local = same_node(src_pe, dst_pe);
   // An 8-byte completion descriptor rides along with the payload.
-  const double occ = xfer_ns(bytes + 8, sw, local);
-  if (faults_ == nullptr || (local && !faults_->intra_node_faults())) {
-    const sim::Time delivered = wire_control(src_pe, dst_pe, occ, now);
-    if (obs::enabled()) {
-      obs::wire_event(src_pe, dst_pe, bytes, now, delivered);
-    }
-    return {now, delivered, true, 1};
-  }
-  if (local) {
-    // Shared-memory handoff: straggler dilation stretches the copy, a dead
-    // receiver's detached segment faults the store, nothing else applies.
-    const double docc = occ * faults_->dilation(src_pe);
-    const sim::Time delivered =
-        now + profile_.local_latency + sim::from_ns(docc);
-    if (faults_->pe_dead(dst_pe, delivered)) {
-      faults_->note_exhaustion(src_pe, dst_pe, delivered);
-      return {now, delivered, false, 1};
-    }
-    faults_->note_delivery(src_pe, dst_pe, delivered);
-    return {now, delivered, true, 1};
-  }
-  const int max_attempts = 1 + faults_->retry().max_retransmits;
+  const double occ = xfer_ns(bytes + 8, sw, same_node(src_pe, dst_pe));
   const double expected = occ + static_cast<double>(profile_.hw_latency);
-  sim::Time send = now;
-  for (int a = 0; a < max_attempts; ++a) {
-    const sim::Time arrive = wire_control(src_pe, dst_pe, occ, send);
-    if (!faults_->pe_dead(dst_pe, arrive)) {
-      const FaultInjector::Verdict v = faults_->judge(src_pe, dst_pe, send);
-      if (!v.drop) {
-        const sim::Time delivered = arrive + v.extra_delay;
-        faults_->record_rtt(src_pe, dst_pe,
-                            delivered - send + profile_.hw_latency, a + 1);
-        faults_->note_delivery(src_pe, dst_pe, delivered);
-        if (obs::enabled()) {
-          obs::wire_event(src_pe, dst_pe, bytes, now, delivered);
-        }
-        return {now, delivered, true, a + 1};
-      }
-    }
-    send += faults_->retrans_timeout(src_pe, dst_pe, a, expected);
+  const Exchange x = exchange(
+      src_pe, dst_pe, now, expected, profile_.hw_latency, [&](sim::Time send) {
+        return leg(Leg::kControl, src_pe, dst_pe, occ, send);
+      });
+  if (x.ok && obs::enabled()) {
+    obs::wire_event(src_pe, dst_pe, bytes, now, x.done);
   }
-  faults_->note_exhaustion(src_pe, dst_pe, send);
-  return {now, send, false, max_attempts};
+  return {now, x.done, x.ok, x.attempts};
 }
 
 RoundTrip Fabric::submit_am(int src_pe, int dst_pe, std::size_t bytes,

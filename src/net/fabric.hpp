@@ -69,9 +69,10 @@ class Fabric {
   /// occupancy without reserving the data links — replies are computed
   /// eagerly at future timestamps, and letting them block the present would
   /// be a causality artifact, not contention. Under fault injection each
-  /// attempt is judged like any other inter-node message and retransmitted
-  /// per the plan's RetryPolicy; ok=false when the receiver is dead or the
-  /// retries exhaust.
+  /// attempt is judged like any other inter-node message (FaultInjector::
+  /// fate: death, partitions, loss, flaky links) and retransmitted per the
+  /// plan's RetryPolicy; ok=false when the receiver is dead, the retries
+  /// exhaust, or the sender dies before it can resend.
   PutCompletion submit_reply(int src_pe, int dst_pe, std::size_t bytes,
                              const SwProfile& sw, sim::Time now);
 
@@ -82,23 +83,36 @@ class Fabric {
 
   /// Attaches (or detaches, with nullptr) a fault injector. Not owned; must
   /// outlive the Fabric or be detached first. With an injector attached,
-  /// inter-node submissions consult it per wire attempt and run a bounded
-  /// retransmit loop (timeout + exponential backoff with jitter, per the
-  /// plan's RetryPolicy), charging every retransmit through the normal link
-  /// model. Injector-free operation keeps the original single-attempt fast
-  /// path bit-for-bit, and so does intra-node traffic unless the plan sets
-  /// FaultPlan::intra_node_faults — with it set, same-node transfers honor
-  /// the kill schedule (a dead peer's segment is detached, so the copy
-  /// fails without retransmits) and straggler dilation of the copy cost.
+  /// inter-node submissions ask it for the fate of every leg (request and
+  /// reply) and run one bounded retransmit loop (timeout + exponential
+  /// backoff with jitter, per the plan's RetryPolicy), charging every
+  /// retransmit through the normal link model. Injector-free operation
+  /// keeps the original single-attempt fast path bit-for-bit, and so does
+  /// intra-node traffic unless the plan sets FaultPlan::intra_node_faults —
+  /// with it set, same-node transfers honor the kill schedule (a dead peer's
+  /// segment is detached, so the copy fails without retransmits) and
+  /// straggler dilation of the copy cost.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
   FaultInjector* fault_injector() const { return faults_; }
 
  private:
-  /// Outcome of one wire attempt under fault injection.
+  /// Outcome of one leg, or of one attempt's legs, under fault injection.
   struct WireTry {
-    sim::Time delivered;  ///< delivery time, or give-up point when dropped
+    sim::Time delivered;  ///< delivery time, or the point the loss happened
     bool dropped;
   };
+
+  /// Outcome of one retransmitted exchange.
+  struct Exchange {
+    sim::Time done;  ///< last leg delivered, or the give-up point
+    int attempts;
+    bool ok;
+    bool initiator_died = false;  ///< ended by the initiator's death
+  };
+
+  /// Data legs reserve the NICs (wire_tx/wire_rx); control legs (AMO/AM
+  /// replies, submit_reply) are priced by wire_control.
+  enum class Leg { kData, kControl };
 
   /// Wire-level one-way message; returns delivery time and updates links.
   sim::Time wire(int src_pe, int dst_pe, double occupancy_ns, sim::Time start);
@@ -109,23 +123,35 @@ class Fabric {
   /// Receive leg only: destination NIC message-retire serialization.
   sim::Time wire_rx(int dst_node, sim::Time arrival);
 
-  /// One wire attempt with the injector consulted: the transmit leg is
-  /// always charged (the bytes leave the source NIC either way); the
-  /// message is then lost if the destination PE is dead on arrival or the
-  /// injector's verdict says drop. Duplicates charge a second full wire
-  /// trip (receivers dedup by sequence number, so contents apply once).
-  WireTry wire_faulty(int src_pe, int dst_pe, double occupancy_ns,
-                      sim::Time start);
+  /// True when traffic between the two PEs consults the injector.
+  bool faulty(int src_pe, int dst_pe) const;
 
-  /// Retransmit loop for one-way transfers (put / strided put).
+  /// One leg of one attempt. Inter-node under faults, the transmit side is
+  /// always charged (the bytes leave the source either way) and the fate
+  /// comes from FaultInjector::fate; a data-leg duplicate charges a second
+  /// wire trip (receivers dedup by sequence number).
+  WireTry leg(Leg kind, int src_pe, int dst_pe, double occupancy_ns,
+              sim::Time start);
+
+  /// The one retransmit loop: runs `attempt(send)` (one attempt's legs)
+  /// once without faults; otherwise resends a lost attempt after
+  /// retrans_timeout until it lands, the budget exhausts (reported to the
+  /// detector), or the initiator is dead at the next send (not reported).
+  /// Same-node attempts are never resent. First-attempt successes feed the
+  /// RTT estimator with the time to the last leg plus `ack_tail`.
+  template <class Attempt>
+  Exchange exchange(int src_pe, int dst_pe, sim::Time start,
+                    double expected_ns, sim::Time ack_tail, Attempt&& attempt);
+
+  /// Put / strided put: one data leg.
   PutCompletion reliable_oneway(int src_pe, int dst_pe, double occupancy_ns,
                                 sim::Time local_complete);
 
-  /// Retransmit loop for request/reply reads (get / strided get).
+  /// Get / strided get: two data legs.
   RoundTrip reliable_get(int src_pe, int dst_pe, double req_occupancy_ns,
                          double reply_occupancy_ns, sim::Time start);
 
-  /// Retransmit loop for operations executed at the target (AMO / AM).
+  /// AMO / AM: a data request, executed at the target, and a control reply.
   /// At-most-once semantics: the target executes on the first delivered
   /// request and caches the reply; retried requests are deduped by sequence
   /// number and answered from the cache, so the RMW/handler never reruns.

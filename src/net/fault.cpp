@@ -223,6 +223,31 @@ FaultInjector::Verdict FaultInjector::judge(int src_pe, int dst_pe,
   return v;
 }
 
+FaultInjector::Verdict FaultInjector::fate(int src_pe, int dst_pe,
+                                           sim::Time send, sim::Time arrival) {
+  Verdict lost;
+  lost.drop = true;
+  // Dead receivers neither retire the message nor ack it.
+  if (pe_dead(dst_pe, arrival)) return lost;
+  // Partitions drop deterministically, before the verdict and with no rng
+  // draws, so runs differing only in partitions keep aligned judge streams.
+  if (!plan_.partitions.empty() &&
+      nodes_partitioned(node_of(src_pe), node_of(dst_pe), send)) {
+    ++counters_.partition_drops;
+    return lost;
+  }
+  const Verdict v = judge(src_pe, dst_pe, send);
+  if (v.drop) return v;
+  // One draw per attempt on an active flaky link, from the dedicated stream
+  // so the main verdict stream stays aligned across plans.
+  const FlakyLink* f = flaky(src_pe, dst_pe, send);
+  if (f != nullptr && flaky_rng_.uniform() < f->extra_loss) {
+    ++counters_.flaky_drops;
+    return lost;
+  }
+  return v;
+}
+
 bool FaultInjector::nodes_partitioned(int node_a, int node_b,
                                       sim::Time t) const {
   if (node_a == node_b) return false;
@@ -231,11 +256,6 @@ bool FaultInjector::nodes_partitioned(int node_a, int node_b,
     if (in_nodes(p.nodes, node_a) != in_nodes(p.nodes, node_b)) return true;
   }
   return false;
-}
-
-bool FaultInjector::partitioned(int src_pe, int dst_pe, sim::Time t) const {
-  if (plan_.partitions.empty()) return false;
-  return nodes_partitioned(node_of(src_pe), node_of(dst_pe), t);
 }
 
 sim::Time FaultInjector::partition_heal_time(int node_a, int node_b,
@@ -257,12 +277,6 @@ sim::Time FaultInjector::partition_heal_time(int node_a, int node_b,
   }
 }
 
-bool FaultInjector::partition_drop(int src_pe, int dst_pe, sim::Time t) {
-  if (!partitioned(src_pe, dst_pe, t)) return false;
-  ++counters_.partition_drops;
-  return true;
-}
-
 const FlakyLink* FaultInjector::flaky(int src_pe, int dst_pe,
                                       sim::Time t) const {
   if (plan_.flaky_links.empty()) return nullptr;
@@ -275,16 +289,6 @@ const FlakyLink* FaultInjector::flaky(int src_pe, int dst_pe,
     }
   }
   return nullptr;
-}
-
-bool FaultInjector::flaky_drop(int src_pe, int dst_pe, sim::Time t) {
-  const FlakyLink* f = flaky(src_pe, dst_pe, t);
-  if (f == nullptr) return false;
-  // One draw per attempt on an active flaky link, from the dedicated stream
-  // so the main verdict stream stays aligned across plans.
-  if (flaky_rng_.uniform() >= f->extra_loss) return false;
-  ++counters_.flaky_drops;
-  return true;
 }
 
 double FaultInjector::bw_penalty(int src_pe, int dst_pe, sim::Time t) const {

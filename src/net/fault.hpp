@@ -12,10 +12,10 @@
 // produces a bit-identical event trace on every run.
 //
 // The injector plugs into net::Fabric (Fabric::set_fault_injector); the
-// Fabric stays a pure timing oracle and simply asks the injector for a
-// verdict per wire attempt, charging retransmissions as additional link
-// occupancy. Without an injector (or for intra-node traffic) the fast path
-// is untouched.
+// Fabric stays a pure timing oracle and asks the injector for the fate of
+// every leg of every attempt (FaultInjector::fate), request and reply
+// alike, charging retransmissions as additional link occupancy. Without an
+// injector (or for intra-node traffic) the fast path is untouched.
 //
 // When the plan contains kills, partitions, flaky links, or stragglers,
 // arm() additionally instantiates a FailureDetector (net/detector.hpp): the
@@ -244,7 +244,16 @@ class FaultInjector {
   int npes() const { return static_cast<int>(kill_at_.size()); }
   int node_of(int pe) const { return pe / cores_per_node_; }
 
-  /// Decides the fate of one inter-node message attempt sent at `t`.
+  /// The fate of one message attempt sent at `send` that reaches dst's node
+  /// at `arrival`: the one question the Fabric asks, for every leg it
+  /// prices, data and control alike. Checked in order: a receiver dead on
+  /// arrival (no draws), an active partition between the two nodes (no
+  /// draws; counted in partition_drops), the loss/dup/delay verdict
+  /// (judge), then a flaky link's extra loss (one draw on the dedicated
+  /// stream iff a link is active and judge did not already drop).
+  Verdict fate(int src_pe, int dst_pe, sim::Time send, sim::Time arrival);
+
+  /// The loss/dup/delay part of fate() alone, for the attempt sent at `t`.
   /// Consumes a fixed number of rng draws per call (plus one when delayed)
   /// so different fault rates stay on aligned rng streams.
   Verdict judge(int src_pe, int dst_pe, sim::Time t);
@@ -258,13 +267,8 @@ class FaultInjector {
     return kill_at_[static_cast<std::size_t>(pe)];
   }
 
-  /// True when an active partition separates src's node from dst's node at
-  /// time `t`. Deterministic; consumes no rng draws.
-  bool partitioned(int src_pe, int dst_pe, sim::Time t) const;
-  /// partitioned() plus the partition_drops counter bump; the Fabric calls
-  /// this per wire attempt.
-  bool partition_drop(int src_pe, int dst_pe, sim::Time t);
-  /// Partition check on raw node ids (used by the detector's beacon model).
+  /// True when an active partition separates the two nodes at time `t`.
+  /// Deterministic; consumes no rng draws.
   bool nodes_partitioned(int node_a, int node_b, sim::Time t) const;
   /// Earliest time >= t at which no partition separates the two nodes
   /// (kTimeNever when a permanent partition does).
@@ -272,9 +276,6 @@ class FaultInjector {
 
   /// Active flaky link covering (src, dst) at `t`, or nullptr. No draws.
   const FlakyLink* flaky(int src_pe, int dst_pe, sim::Time t) const;
-  /// Extra-loss coin flip for an active flaky link; consumes one draw from
-  /// the dedicated flaky stream iff a link is active (else false, no draw).
-  bool flaky_drop(int src_pe, int dst_pe, sim::Time t);
   /// Occupancy multiplier (>= 1) from flaky-link bandwidth degradation.
   double bw_penalty(int src_pe, int dst_pe, sim::Time t) const;
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "net/fault.hpp"
 #include "net/profiles.hpp"
 
 using namespace fabric;
@@ -262,25 +263,41 @@ TEST(Domain, StridedGetToKilledInitiatorWritesNoFreedMemory) {
 }
 
 // The request is on the wire when its initiator dies: the target still
-// applies the AMO, at the same virtual time as when nobody dies.
+// applies the AMO, at the same virtual time as when nobody dies. The kill
+// comes either straight from the engine or from a fault plan, which the
+// fabric knows about: the reply is then lost at the corpse, and the live
+// target must neither lose the update nor be declared.
 TEST(Domain, AmoFromKilledInitiatorStillUpdatesTarget) {
-  auto run = [](bool kill) {
+  enum class Kill { kNone, kEngine, kPlan };
+  auto run = [](Kill kill) {
     World w;
+    net::FaultPlan plan;
+    plan.kill_pe(0, 100_ns);
+    net::FaultInjector inj(plan, 32, w.fabric.profile().cores_per_node);
+    if (kill == Kill::kPlan) {
+      w.fabric.set_fault_injector(&inj);
+      inj.arm(w.engine);
+    }
     sim::Time updated_at = -1;
     w.domain.set_write_hook([&](const WriteEvent& e) { updated_at = e.time; });
     w.engine.spawn(0, [&] { w.domain.amo(AmoOp::kFetchAdd, 16, 8, 5); });
-    if (kill) w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);
+    if (kill == Kill::kEngine) {
+      w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);
+    }
     w.engine.run();
     std::uint64_t word = 0;
     std::memcpy(&word, w.domain.segment(16) + 8, sizeof word);
     EXPECT_EQ(word, 5u);
-    EXPECT_EQ(w.engine.pe_failed(0), kill);
+    EXPECT_EQ(w.engine.pe_failed(0), kill != Kill::kNone);
+    EXPECT_FALSE(w.engine.pe_declared(16));
+    EXPECT_LE(w.engine.declared_count(), 1);
     return updated_at;
   };
-  const sim::Time clean = run(false);
-  const sim::Time killed = run(true);
+  const sim::Time clean = run(Kill::kNone);
+  const sim::Time killed = run(Kill::kEngine);
   EXPECT_GT(killed, 100_ns);
   EXPECT_EQ(killed, clean);
+  EXPECT_EQ(run(Kill::kPlan), clean);
 }
 
 TEST(Verbs, ApiRoundTrip) {

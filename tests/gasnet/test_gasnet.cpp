@@ -6,6 +6,7 @@
 
 #include <cstring>
 
+#include "net/fault.hpp"
 #include "net/profiles.hpp"
 
 using namespace gasnet;
@@ -34,11 +35,22 @@ void kill_node0(void* engine, std::uint64_t, std::uint64_t) {
   static_cast<sim::Engine*>(engine)->kill_pe(0);
 }
 
-/// Node 0 sends one AM (with a reply when `reply`) to node 16 and, when
-/// `kill`, is killed at 100 ns, after injection. Returns the handler's start
-/// time at the target, or -1 when it never ran.
-sim::Time am_to_16(bool reply, bool kill) {
+/// How node 0 dies at 100 ns, after injection: not at all, straight from
+/// the engine, or from a fault plan the fabric knows about.
+enum class Kill { kNone, kEngine, kPlan };
+
+/// Node 0 sends one AM (with a reply when `reply`) to node 16 and is killed
+/// per `kill`. Returns the handler's start time at the target, or -1 when
+/// it never ran.
+sim::Time am_to_16(bool reply, Kill kill) {
   Harness h(32);
+  net::FaultPlan plan;
+  plan.kill_pe(0, 100);
+  net::FaultInjector inj(plan, 32, h.fabric.profile().cores_per_node);
+  if (kill == Kill::kPlan) {
+    h.fabric.set_fault_injector(&inj);
+    inj.arm(h.engine);
+  }
   sim::Time ran_at = -1;
   const int hidx = h.world.register_handler(
       [&](const Token& tok, std::span<const std::byte> payload,
@@ -60,9 +72,12 @@ sim::Time am_to_16(bool reply, bool kill) {
       h.world.am_request(16, hidx, 7, 0, pay, 3);
     }
   });
-  if (kill) h.engine.schedule_raw(100, &kill_node0, &h.engine);
+  if (kill == Kill::kEngine) h.engine.schedule_raw(100, &kill_node0, &h.engine);
   h.engine.run();
-  EXPECT_EQ(h.engine.pe_failed(0), kill);
+  EXPECT_EQ(h.engine.pe_failed(0), kill != Kill::kNone);
+  // Only the corpse may be declared, never the live target.
+  EXPECT_FALSE(h.engine.pe_declared(16));
+  EXPECT_LE(h.engine.declared_count(), 1);
   return ran_at;
 }
 
@@ -141,15 +156,16 @@ TEST(Gasnet, AmRequestRunsHandlerOnTarget) {
 }
 
 TEST(Gasnet, AmFromKilledSenderStillRunsHandler) {
-  const sim::Time clean = am_to_16(false, false);
-  const sim::Time killed = am_to_16(false, true);
+  const sim::Time clean = am_to_16(false, Kill::kNone);
+  const sim::Time killed = am_to_16(false, Kill::kEngine);
   EXPECT_GT(killed, 100);
   EXPECT_EQ(killed, clean);
+  EXPECT_EQ(am_to_16(false, Kill::kPlan), clean);
 }
 
 TEST(Gasnet, AmReplyToKilledRequesterStillRunsHandler) {
-  const sim::Time clean = am_to_16(true, false);
-  const sim::Time killed = am_to_16(true, true);
+  const sim::Time clean = am_to_16(true, Kill::kNone);
+  const sim::Time killed = am_to_16(true, Kill::kEngine);
   EXPECT_GT(killed, 100);
   EXPECT_EQ(killed, clean);
 }

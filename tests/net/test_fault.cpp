@@ -11,6 +11,8 @@
 #include "net/fabric.hpp"
 #include "net/fault.hpp"
 #include "net/profiles.hpp"
+#include "obs/obs.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -250,6 +252,79 @@ TEST(FaultyFabric, DuplicatesChargeExtraLinkOccupancy) {
     last_duped = duped.submit_put(0, fp.remote, 8'192, fp.sw, 0).delivered;
   }
   EXPECT_GT(last_duped, last_clean);
+}
+
+// A get whose initiator dies between the target read and the reply: the
+// reply is lost at the corpse, and the dead initiator sends no retransmit.
+// Its silence says nothing about the live target, so nobody but the corpse
+// is declared.
+TEST(FaultyFabric, KilledInitiatorGetDeclaresNobody) {
+  const net::MachineProfile mp = net::machine_profile(net::Machine::kStampede);
+  const net::SwProfile sw =
+      net::sw_profile(net::Library::kShmemMvapich, net::Machine::kStampede);
+  const int npes = 4 * mp.cores_per_node;
+  const int target = 2 * mp.cores_per_node;
+  net::Fabric clean(mp, npes);
+  const net::RoundTrip c = clean.submit_get(0, target, 4'096, sw, 0);
+  const sim::Time kill_at = (c.target_read + c.complete) / 2;
+  ASSERT_LT(c.target_read, kill_at);
+
+  sim::Engine engine{64 * 1024};
+  net::Fabric fab(mp, npes);
+  net::FaultPlan plan;
+  plan.kill_pe(0, kill_at);
+  net::FaultInjector inj(plan, npes, mp.cores_per_node);
+  fab.set_fault_injector(&inj);
+  inj.arm(engine);
+  const net::RoundTrip g = fab.submit_get(0, target, 4'096, sw, 0);
+  EXPECT_EQ(g.attempts, 1);
+  EXPECT_FALSE(g.ok);
+  engine.run();
+  EXPECT_TRUE(engine.pe_declared(0));
+  EXPECT_FALSE(engine.pe_declared(target));
+  EXPECT_EQ(engine.declared_count(), 1);
+  EXPECT_EQ(obs::registry().counter(0, "fd.false_positives"), 0u);
+}
+
+// Control legs take their fate from the same function as data legs: an RPC
+// reply and an AMO's reply sent into an active partition are dropped (and
+// counted), and land only after the heal.
+TEST(FaultyFabric, ControlReplyObeysPartition) {
+  const net::MachineProfile mp = net::machine_profile(net::Machine::kStampede);
+  const net::SwProfile sw =
+      net::sw_profile(net::Library::kShmemMvapich, net::Machine::kStampede);
+  const int npes = 4 * mp.cores_per_node;
+  const int far = mp.cores_per_node;  // first PE of node 1
+  const sim::Time heal = 1'000'000;
+  {
+    net::Fabric fab(mp, npes);
+    net::FaultPlan plan;
+    plan.partition_nodes({1}, 0, heal);
+    net::FaultInjector inj(plan, npes, mp.cores_per_node);
+    fab.set_fault_injector(&inj);
+    const net::PutCompletion r = fab.submit_reply(far, 0, 64, sw, 1'000);
+    EXPECT_TRUE(r.ok);
+    EXPECT_GT(r.attempts, 1);
+    EXPECT_GE(r.delivered, heal);
+    EXPECT_EQ(inj.counters().partition_drops,
+              static_cast<std::uint64_t>(r.attempts - 1));
+  }
+  {
+    // The partition forms after the AMO request lands, before its reply.
+    net::Fabric clean(mp, npes);
+    const net::RoundTrip c = clean.submit_amo(0, far, sw, 0);
+    net::Fabric fab(mp, npes);
+    net::FaultPlan plan;
+    plan.partition_nodes({1}, c.target_read, c.target_read + heal);
+    net::FaultInjector inj(plan, npes, mp.cores_per_node);
+    fab.set_fault_injector(&inj);
+    const net::RoundTrip a = fab.submit_amo(0, far, sw, 0);
+    EXPECT_TRUE(a.ok);
+    EXPECT_GT(a.attempts, 1);
+    EXPECT_EQ(a.target_read, c.target_read);  // executed once, on time
+    EXPECT_GE(a.complete, c.target_read + heal);
+    EXPECT_GE(inj.counters().partition_drops, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
