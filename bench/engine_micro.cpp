@@ -196,17 +196,22 @@ int run_json(const char* path) {
   constexpr int kScale = 16 * 1024;
   const QueueResult q = measure_queue(100'000, 3);
   const double sw = measure_switches(100'000, 3);
+  // Each leg's line is flushed as soon as it is known, so a later leg that
+  // aborts does not take the earlier numbers with it.
   std::printf("queue: %.2fM events/s, %llu steady heap slabs\n",
               q.events_per_sec / 1e6,
               static_cast<unsigned long long>(q.steady_heap_slabs));
   std::printf("fiber: %.2fM switches/s\n", sw / 1e6);
+  std::fflush(stdout);
   const StormResult storm = barrier_storm(kScale, 4);
   std::printf("barrier_storm @%d: %.1f ms, %llu events\n", kScale,
               storm.wall_ms, static_cast<unsigned long long>(storm.events));
+  std::fflush(stdout);
   const HimenoResult him = himeno_smoke(kScale);
   std::printf("himeno_smoke @%d: %.1f ms, %llu events, %.1f mflops\n", kScale,
               him.wall_ms, static_cast<unsigned long long>(him.events),
               him.mflops);
+  std::fflush(stdout);
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);

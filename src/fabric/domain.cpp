@@ -99,12 +99,11 @@ Domain::NodeTele& Domain::node_tele(int pe) {
   return t;
 }
 
-net::PutCompletion Domain::node_oneway(const char* op, int me, int dst_pe,
+net::PutCompletion Domain::node_oneway(int me, sim::Time now, int dst_pe,
                                        std::size_t wire_bytes,
                                        sim::Time extra_copy, NodeTele& t) {
   net::NodeChannel& ch = *node_;
   net::FaultInjector* fi = fabric_.fault_injector();
-  const sim::Time now = engine_.now();
   sim::Time local_complete;
   sim::Time delivered;
   if (extra_copy == 0 && ch.ring_eligible(wire_bytes)) {
@@ -132,8 +131,7 @@ net::PutCompletion Domain::node_oneway(const char* op, int me, int dst_pe,
       // The peer's shared segment is detached before the bytes land; a
       // shared-memory store cannot be retransmitted.
       fi->note_exhaustion(me, dst_pe, delivered);
-      engine_.advance_to(local_complete);
-      throw PeerFailedError(op, me, dst_pe, 1, delivered);
+      return {local_complete, delivered, false, 1};
     }
     fi->note_delivery(me, dst_pe, delivered);
   }
@@ -283,6 +281,22 @@ void Domain::poke(int dst_pe, std::uint64_t dst_off, const void* src,
   if (write_hook_) write_hook_({dst_pe, dst_off, n, t});
 }
 
+void Domain::enqueue(int me, PendingMsg* m, net::PutCompletion& c) {
+  const std::uint32_t pair = pair_id(me, m->dst_pe);
+  c.delivered = clamp_in_order(pair, c.delivered);
+  note_outstanding(me, c.delivered);
+  m->t = c.delivered;
+  m->seq = engine_.reserve_seq();
+  stream_append(pair, m);
+}
+
+net::PutCompletion Domain::complete_local(const char* op, int me, int dst_pe,
+                                          const net::PutCompletion& c) {
+  engine_.advance_to(c.local_complete);
+  if (!c.ok) throw PeerFailedError(op, me, dst_pe, c.attempts, c.delivered);
+  return c;
+}
+
 net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
                                const void* src, std::size_t n,
                                bool pipelined) {
@@ -290,51 +304,38 @@ net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
   if (dst_off + n > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::put beyond segment");
   }
+  return complete_local(
+      "put", me, dst_pe,
+      put_at(me, engine_.now(), dst_pe, dst_off, src, n, pipelined));
+}
+
+net::PutCompletion Domain::put_at(int me, sim::Time now, int dst_pe,
+                                  std::uint64_t dst_off, const void* src,
+                                  std::size_t n, bool pipelined) {
+  assert(dst_off + n <= segment_bytes_);
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local path: ring or NUMA memcpy, no fabric message. The producer
     // pays the copy either way, so nbi and blocking puts price identically.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway("put", me, dst_pe, n, 0, nt);
-    ++*nt.puts;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
-    PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
-    m->dst_pe = dst_pe;
-    m->op = PendingMsg::Op::kContig;
-    m->dst_off = dst_off;
-    m->payload_bytes = static_cast<std::uint32_t>(n);
-    m->buf = buf_pool_.acquire(n, &m->buf_cls);
-    std::memcpy(m->buf, src, n);
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return {c.local_complete, d, true, 1};
+    c = node_oneway(me, now, dst_pe, n, 0, nt);
+    if (c.ok) ++*nt.puts;
+  } else {
+    c = fabric_.submit_put(me, dst_pe, n, sw_, now, pipelined);
   }
-  auto c = fabric_.submit_put(me, dst_pe, n, sw_, engine_.now(), pipelined);
-  if (!c.ok) {
-    // Don't record the give-up time as outstanding: the bytes never landed,
-    // and quiet() must not stall on them.
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("put", me, dst_pe, c.attempts, c.delivered);
-  }
-  const std::uint32_t pair = pair_id(me, dst_pe);
-  c.delivered = clamp_in_order(pair, c.delivered);
-  note_outstanding(me, c.delivered);
+  // A failed message is not queued and its give-up time is not
+  // outstanding: the bytes never land, and quiet() must not stall on them.
+  if (!c.ok) return c;
   // Capture the payload now: OpenSHMEM putmem guarantees the source buffer
   // is reusable on return.
   PendingMsg* m = msg_pool_.acquire();
-  m->t = c.delivered;
   m->dst_pe = dst_pe;
   m->op = PendingMsg::Op::kContig;
   m->dst_off = dst_off;
   m->payload_bytes = static_cast<std::uint32_t>(n);
   m->buf = buf_pool_.acquire(n, &m->buf_cls);
   std::memcpy(m->buf, src, n);
-  m->seq = engine_.reserve_seq();
-  stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
+  enqueue(me, m, c);
   return c;
 }
 
@@ -350,21 +351,27 @@ net::PutCompletion Domain::put_scatter(int dst_pe, const ScatterRec* recs,
       throw std::out_of_range("fabric::Domain::put_scatter beyond segment");
     }
   }
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local vectored put: one copy of the packed payload plus
     // per-record pointer math; the (offset, length) headers never exist —
     // there is no wire message to carry them.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway(
-        "put_scatter", me, dst_pe, payload_bytes,
-        static_cast<sim::Time>(nrecs) * net::NodeChannel::kElemGap, nt);
-    ++*nt.scatters;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
+    c = node_oneway(me, engine_.now(), dst_pe, payload_bytes,
+                    static_cast<sim::Time>(nrecs) * net::NodeChannel::kElemGap,
+                    nt);
+    if (c.ok) ++*nt.scatters;
+  } else {
+    // One wire message: packed payload plus an (offset, length) header per
+    // record. The whole vector shares a single injection cost — that is
+    // the entire point of write combining.
+    const std::size_t wire = payload_bytes + nrecs * kScatterRecWire;
+    c = fabric_.submit_put(me, dst_pe, wire, sw_, engine_.now(), pipelined);
+  }
+  if (c.ok) {
+    // Pack records then payload into one pooled buffer.
     const std::size_t hdr = nrecs * sizeof(ScatterRec);
     PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
     m->dst_pe = dst_pe;
     m->op = PendingMsg::Op::kScatter;
     m->nelems = static_cast<std::uint32_t>(nrecs);
@@ -373,39 +380,9 @@ net::PutCompletion Domain::put_scatter(int dst_pe, const ScatterRec* recs,
     m->buf = buf_pool_.acquire(hdr + payload_bytes, &m->buf_cls);
     std::memcpy(m->buf, recs, hdr);
     std::memcpy(m->buf + hdr, payload, payload_bytes);
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return {c.local_complete, d, true, 1};
+    enqueue(me, m, c);
   }
-  // One wire message: packed payload plus an (offset, length) header per
-  // record. The whole vector shares a single injection cost — that is the
-  // entire point of write combining.
-  const std::size_t wire = payload_bytes + nrecs * kScatterRecWire;
-  auto c = fabric_.submit_put(me, dst_pe, wire, sw_, engine_.now(), pipelined);
-  if (!c.ok) {
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("put_scatter", me, dst_pe, c.attempts, c.delivered);
-  }
-  const std::uint32_t pair = pair_id(me, dst_pe);
-  c.delivered = clamp_in_order(pair, c.delivered);
-  note_outstanding(me, c.delivered);
-  // Pack records then payload into one pooled buffer.
-  const std::size_t hdr = nrecs * sizeof(ScatterRec);
-  PendingMsg* m = msg_pool_.acquire();
-  m->t = c.delivered;
-  m->dst_pe = dst_pe;
-  m->op = PendingMsg::Op::kScatter;
-  m->nelems = static_cast<std::uint32_t>(nrecs);
-  m->payload_bytes = static_cast<std::uint32_t>(payload_bytes);
-  m->payload_off = static_cast<std::uint32_t>(hdr);
-  m->buf = buf_pool_.acquire(hdr + payload_bytes, &m->buf_cls);
-  std::memcpy(m->buf, recs, hdr);
-  std::memcpy(m->buf + hdr, payload, payload_bytes);
-  m->seq = engine_.reserve_seq();
-  stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
-  return c;
+  return complete_local("put_scatter", me, dst_pe, c);
 }
 
 void Domain::get(void* dst, int src_pe, std::uint64_t src_off, std::size_t n) {
@@ -428,19 +405,23 @@ void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
   if (span > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::iput_hw beyond segment");
   }
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local strided put: the producer core walks both strides itself;
     // the NIC's scatter engine is not involved.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway(
-        "iput", me, dst_pe, elem_bytes * nelems,
-        static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap, nt);
-    ++*nt.strided;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
+    c = node_oneway(me, engine_.now(), dst_pe, elem_bytes * nelems,
+                    static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap,
+                    nt);
+    if (c.ok) ++*nt.strided;
+  } else {
+    c = fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems, sw_,
+                                   engine_.now(), pipelined);
+  }
+  if (c.ok) {
+    // Gather the source elements at issue time; scatter happens at
+    // delivery.
     PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
     m->dst_pe = dst_pe;
     m->op = PendingMsg::Op::kStrided;
     m->dst_off = dst_off;
@@ -449,48 +430,16 @@ void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
     m->nelems = static_cast<std::uint32_t>(nelems);
     m->payload_bytes = static_cast<std::uint32_t>(elem_bytes * nelems);
     m->buf = buf_pool_.acquire(elem_bytes * nelems, &m->buf_cls);
-    const auto* sp = static_cast<const std::byte*>(src);
+    const auto* s = static_cast<const std::byte*>(src);
     for (std::size_t i = 0; i < nelems; ++i) {
       std::memcpy(m->buf + i * elem_bytes,
-                  sp + static_cast<std::ptrdiff_t>(i) * src_stride *
+                  s + static_cast<std::ptrdiff_t>(i) * src_stride *
                           static_cast<std::ptrdiff_t>(elem_bytes),
                   elem_bytes);
     }
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return;
+    enqueue(me, m, c);
   }
-  auto c = fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems,
-                                      sw_, engine_.now(), pipelined);
-  if (!c.ok) {
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("iput", me, dst_pe, c.attempts, c.delivered);
-  }
-  const std::uint32_t pair = pair_id(me, dst_pe);
-  c.delivered = clamp_in_order(pair, c.delivered);
-  note_outstanding(me, c.delivered);
-  // Gather the source elements at issue time; scatter happens at delivery.
-  PendingMsg* m = msg_pool_.acquire();
-  m->t = c.delivered;
-  m->dst_pe = dst_pe;
-  m->op = PendingMsg::Op::kStrided;
-  m->dst_off = dst_off;
-  m->dst_stride = dst_stride;
-  m->elem_bytes = static_cast<std::uint32_t>(elem_bytes);
-  m->nelems = static_cast<std::uint32_t>(nelems);
-  m->payload_bytes = static_cast<std::uint32_t>(elem_bytes * nelems);
-  m->buf = buf_pool_.acquire(elem_bytes * nelems, &m->buf_cls);
-  const auto* s = static_cast<const std::byte*>(src);
-  for (std::size_t i = 0; i < nelems; ++i) {
-    std::memcpy(m->buf + i * elem_bytes,
-                s + static_cast<std::ptrdiff_t>(i) * src_stride *
-                        static_cast<std::ptrdiff_t>(elem_bytes),
-                elem_bytes);
-  }
-  m->seq = engine_.reserve_seq();
-  stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
+  complete_local("iput", me, dst_pe, c);
 }
 
 void Domain::iget_hw(void* dst, std::ptrdiff_t dst_stride, int src_pe,

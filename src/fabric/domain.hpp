@@ -196,6 +196,17 @@ class Domain {
   net::PutCompletion put(int dst_pe, std::uint64_t dst_off, const void* src,
                          std::size_t n, bool pipelined = false);
 
+  /// The body of put() for PE `me` at its clock `now`: prices the put,
+  /// captures the payload and queues the message, but neither advances the
+  /// clock nor throws. A message the reliable-delivery layer gave up on
+  /// comes back with `ok` false and is not queued. Callable from the
+  /// scheduler (a parked fiber's gate, see sim::Engine::park); put() is
+  /// put_at() plus the advance to local completion and the
+  /// PeerFailedError. The range must lie within the segment.
+  net::PutCompletion put_at(int me, sim::Time now, int dst_pe,
+                            std::uint64_t dst_off, const void* src,
+                            std::size_t n, bool pipelined);
+
   /// Writes `n` bytes into `dst_pe`'s segment immediately (at the current
   /// scheduler event's virtual time `t`) and fires the write hook. Used by
   /// active-message handlers, which mutate target memory from the scheduler
@@ -275,12 +286,12 @@ class Domain {
     std::uint64_t* elided_bytes = nullptr;
   };
   NodeTele& node_tele(int pe);
-  /// Prices a same-node one-way transfer (ring when small and contiguous,
-  /// NUMA memcpy otherwise) with fault dilation, bumps ring/bulk telemetry,
-  /// and fails if the peer's segment is detached before delivery.
-  /// `extra_copy` carries per-element/record gaps (forces the bulk path).
-  /// Returns {local_complete, delivered}.
-  net::PutCompletion node_oneway(const char* op, int me, int dst_pe,
+  /// Prices a same-node one-way transfer from `me` at `now` (ring when
+  /// small and contiguous, NUMA memcpy otherwise) with fault dilation and
+  /// bumps ring/bulk telemetry. `extra_copy` carries per-element/record
+  /// gaps (forces the bulk path). Returns {local_complete, delivered}, with
+  /// `ok` false when the peer's segment is detached before delivery.
+  net::PutCompletion node_oneway(int me, sim::Time now, int dst_pe,
                                  std::size_t wire_bytes, sim::Time extra_copy,
                                  NodeTele& t);
 
@@ -337,6 +348,14 @@ class Domain {
   /// Queues `m` on its pair stream; arms the stream's delivery event if the
   /// stream was idle. `m->t`/`m->seq` must already be set.
   void stream_append(std::uint32_t pair, PendingMsg* m);
+  /// Sends the filled message `m` from `me` with completion `c`: clamps
+  /// `c.delivered` in order on the pair, records it as outstanding, stamps
+  /// `m` with it and a reserved seq, and appends it to the stream.
+  void enqueue(int me, PendingMsg* m, net::PutCompletion& c);
+  /// The blocking tail of every put: advances the caller to `c`'s local
+  /// completion, then throws PeerFailedError if `c` failed.
+  net::PutCompletion complete_local(const char* op, int me, int dst_pe,
+                                    const net::PutCompletion& c);
   /// Delivery event body: applies the head message of `pair`, recycles it,
   /// and re-arms the stream for the next message (at its own reserved seq).
   void stream_fire(std::uint32_t pair);

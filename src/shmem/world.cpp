@@ -1,6 +1,7 @@
 #include "shmem/world.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -55,6 +56,7 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
                                                    heap_bytes - internal_bytes_);
   alloc_cursor_.assign(domain_->npes(), 0);
   watchers_.resize(domain_->npes());
+  waits_.resize(domain_->npes());
   psync_gens_.resize(domain_->npes());
   coll_.reserve(domain_->npes());
   for (int i = 0; i < domain_->npes(); ++i) {
@@ -233,30 +235,82 @@ std::int64_t World::load_i64(int pe, std::uint64_t off) const {
 
 void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value) {
   const int me = my_pe();
-  const std::uint64_t off = sym_off(ivar, "wait_until");
-  while (!compare_i64(load_i64(me, off), cmp, value)) {
-    watchers_[me].push_back({off, sizeof(std::int64_t),
-                             engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("shmem_wait_until");
-    engine_.block();
+  Wait& w = waits_[me];
+  w = Wait{};
+  w.off = sym_off(ivar, "wait_until");
+  w.cmp = cmp;
+  w.value = value;
+  w.test_due = true;
+  park(me);
+}
+
+void World::park(int me) {
+  Wait& w = waits_[me];
+  w.fiber = engine_.current_fiber();
+  engine_.park(&World::wait_gate, this, static_cast<std::uint64_t>(me));
+  if (w.failed_peer >= 0) {
+    throw fabric::PeerFailedError("put", me, w.failed_peer, w.failed_attempts,
+                                  w.failed_at);
+  }
+}
+
+bool World::wait_gate(void* ctx, std::uint64_t pe) {
+  return static_cast<World*>(ctx)->step(static_cast<int>(pe));
+}
+
+// Each put, flag test and watcher registration happens in the same event,
+// at the same clock, as it did when the fiber itself ran the loop: a put
+// whose local completion lies ahead takes a turn there (resume, as
+// advance_to would), and a failing flag test registers a watcher (as
+// block would). Only the switch-ins in between are gone.
+bool World::step(int me) {
+  Wait& w = waits_[me];
+  sim::Fiber& f = *w.fiber;
+  for (;;) {
+    if (w.failed_peer >= 0) return true;
+    if (w.test_due) {
+      if (!compare_i64(load_i64(me, w.off), w.cmp, w.value)) {
+        watchers_[me].push_back({w.off, sizeof(std::int64_t), &f});
+        f.set_block_op("shmem_wait_until");
+        return false;
+      }
+      if (w.dist >= w.as.pe_size) return true;
+    }
+    const int peer = w.as.world_pe((w.rel + w.dist) % w.as.pe_size);
+    w.off = w.flags_off + sizeof(std::int64_t) *
+                              static_cast<std::uint64_t>(
+                                  std::countr_zero(
+                                      static_cast<unsigned>(w.dist)));
+    w.dist <<= 1;
+    w.test_due = true;
+    const sim::Time now = f.clock();
+    const net::PutCompletion c = domain_->put_at(
+        me, now, peer, w.off, &w.value, sizeof w.value, /*pipelined=*/true);
+    if (!c.ok) {
+      w.failed_peer = peer;
+      w.failed_attempts = c.attempts;
+      w.failed_at = c.delivered;
+    }
+    if (c.local_complete > now) {
+      engine_.resume(f, c.local_complete);
+      return false;
+    }
   }
 }
 
 void World::on_write(const fabric::WriteEvent& ev) {
+  // Wake every overlapping watcher, in registration order, compacting the
+  // rest in place.
   auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    const bool overlap =
-        it->off < ev.offset + ev.len && ev.offset < it->off + it->len;
-    if (overlap) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
+  std::size_t kept = 0;
+  for (const Watcher& w : list) {
+    if (w.off < ev.offset + ev.len && ev.offset < w.off + w.len) {
+      engine_.resume(*w.fiber, ev.time);
     } else {
-      ++it;
+      list[kept++] = w;
     }
   }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
+  list.resize(kept);
 }
 
 // ---------------------------------------------------------------------------
@@ -315,23 +369,23 @@ std::int64_t World::fetch_xor(std::int64_t* target, std::int64_t mask, int pe) {
 // ---------------------------------------------------------------------------
 
 void World::barrier_all() {
-  const int me = my_pe();
   const int n = n_pes();
   if (n == 1) return;
-  auto& cs = *coll_[me];
-  const std::int64_t gen = ++cs.barrier_gen;
-  // Dissemination barrier: log2(n) rounds; in round r notify (me + 2^r) and
-  // wait for (me - 2^r). Flag values are monotone generations, so slots are
-  // reusable without sense reversal.
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (me + dist) % n;
-    auto* flag_addr = reinterpret_cast<std::int64_t*>(
-        domain_->segment(me) + barrier_flags_off_) + round;
-    putmem_nbi(flag_addr, &gen, sizeof gen, peer);
-    wait_until(flag_addr, Cmp::kGe, gen);
-  }
+  const std::int64_t gen = ++coll_[my_pe()]->barrier_gen;
+  dissemination(ActiveSet{0, 0, n}, barrier_flags_off_, gen);
+}
+
+void World::dissemination(const ActiveSet& as, std::uint64_t flags_off,
+                          std::int64_t gen) {
+  assert(as.pe_size <= (1 << kMaxRounds));
+  const int me = my_pe();
+  Wait& w = waits_[me];
+  w = Wait{};
+  w.as = as;
+  w.rel = as.rel_of(me);
+  w.flags_off = flags_off;
+  w.value = gen;
+  park(me);
 }
 
 void World::broadcast(void* buf, std::size_t nbytes, int root) {
@@ -480,20 +534,9 @@ void World::validate_member(const ActiveSet& as, const char* what) const {
 
 void World::barrier(const ActiveSet& as, std::int64_t* pSync) {
   validate_member(as, "shmem_barrier");
-  const int me = my_pe();
-  const int rel = as.rel_of(me);
-  const int n = as.pe_size;
-  if (n == 1) return;
+  if (as.pe_size == 1) return;
   const std::uint64_t psync_off = sym_off(pSync, "shmem_barrier pSync");
-  const std::int64_t gen = next_psync_gen(me, psync_off);
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < static_cast<int>(kSyncSize) - 1);
-    const int peer = as.world_pe((rel + dist) % n);
-    auto* flag = pSync + round;
-    putmem_nbi(flag, &gen, sizeof gen, peer);
-    wait_until(flag, Cmp::kGe, gen);
-  }
+  dissemination(as, psync_off, next_psync_gen(my_pe(), psync_off));
 }
 
 void World::broadcast(const ActiveSet& as, void* dst, const void* src,

@@ -223,6 +223,40 @@ class World {
   };
   struct CollectiveState;  // per-PE internal offsets & generation counters
 
+  /// What a PE parked in a barrier or wait_until still has to do: the
+  /// dissemination rounds left (none for a plain wait), each a flag put
+  /// and then a flag test. Kept per PE, not in the parked fiber's frame:
+  /// the gate of every parked PE reads it, and dense state stays in cache
+  /// where 16k fiber stacks do not. A PE runs one fiber (launch), so it has
+  /// at most one wait at a time.
+  struct Wait {
+    sim::Fiber* fiber = nullptr;
+    ActiveSet as;                ///< barrier members (pe_size 1: no rounds)
+    int rel = 0;                 ///< the PE's rank in `as`
+    int dist = 1;                ///< next round's distance; done at >= pe_size
+    std::uint64_t flags_off = 0; ///< round r's flag lies at flags_off + 8r
+    std::uint64_t off = 0;       ///< flag under test
+    Cmp cmp = Cmp::kGe;
+    std::int64_t value = 0;      ///< tested against; also what rounds put
+    bool test_due = false;       ///< the flag test comes before the next round
+    int failed_peer = -1;        ///< a round's put the transport gave up on
+    int failed_attempts = 0;
+    sim::Time failed_at = 0;     ///< that put's give-up time
+  };
+
+  /// Parks the calling PE until its wait (set up in waits_) is done, via
+  /// sim::Engine::park with wait_gate, then throws PeerFailedError if a
+  /// round's put failed.
+  void park(int me);
+  static bool wait_gate(void* ctx, std::uint64_t pe);
+  /// Runs PE `me`'s wait as far as it can go now; true once it is done.
+  bool step(int me);
+  /// Dissemination barrier over `as`: in round r notify rank + 2^r and
+  /// wait for rank - 2^r, with round r's flag at flags_off + 8r. Flag
+  /// values are monotone generations, so slots are reusable without sense
+  /// reversal.
+  void dissemination(const ActiveSet& as, std::uint64_t flags_off,
+                     std::int64_t gen);
   std::uint64_t sym_off(const void* ptr, const char* what) const;
   void reduce_bytes(void* dst, const void* src, std::size_t nelems,
                     std::size_t elem_bytes,
@@ -253,6 +287,7 @@ class World {
   std::vector<std::size_t> alloc_cursor_;  // per PE
 
   std::vector<std::vector<Watcher>> watchers_;  // per PE
+  std::vector<Wait> waits_;                     // per PE
   std::vector<std::unique_ptr<CollectiveState>> coll_;
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> psync_gens_;
 

@@ -112,6 +112,34 @@ void Engine::block() {
   if (f->kill_pending_) throw FiberKilled{};
 }
 
+void Engine::park(Gate gate, void* ctx, std::uint64_t arg) {
+  Fiber* f = current_;
+  assert(f != nullptr && "park() requires a fiber context");
+  f->state_ = Fiber::State::kBlocked;
+  if (gate(ctx, arg)) {
+    assert(f->state_ == Fiber::State::kBlocked &&
+           "an admitting gate must not leave a turn pending");
+    f->state_ = Fiber::State::kRunning;
+    return;
+  }
+  f->gate_ = gate;
+  f->gate_ctx_ = ctx;
+  f->gate_arg_ = arg;
+  f->switch_out();
+  f->gate_ = nullptr;
+  if (f->kill_pending_) throw FiberKilled{};
+}
+
+bool Engine::admit(Fiber& f) {
+  assert(f.state() == Fiber::State::kRunnable);
+  f.state_ = Fiber::State::kBlocked;
+  if (!f.gate_(f.gate_ctx_, f.gate_arg_)) return false;
+  assert(f.state_ == Fiber::State::kBlocked &&
+         "an admitting gate must not leave a turn pending");
+  f.state_ = Fiber::State::kRunnable;
+  return true;
+}
+
 void Engine::resume(Fiber& f, Time t) {
   // Stale wake-ups are legal: a watcher may fire for a fiber that was
   // already woken (kRunnable) or killed (kFinished) by fault injection.
@@ -228,6 +256,9 @@ void Engine::run() {
         case EventNode::Kind::kFiberResume: {
           Fiber* f = n->u.fiber;
           pool_.release(n);
+          // A parked fiber is switched in only once its gate admits it; a
+          // kill skips the gate so the fiber unwinds now.
+          if (f->gate_ != nullptr && !f->kill_pending_ && !admit(*f)) break;
           run_fiber(*f, f->clock());
           break;
         }

@@ -3,7 +3,8 @@
 // The engine owns a virtual clock, a time-ordered event queue, and a set of
 // fibers (one per simulated PE / CAF image). Communication layers schedule
 // delivery events; fibers advance their own clocks through Engine::advance*
-// and block/resume around communication completions. Ties in the event queue
+// and block/resume around communication completions, or park behind a gate
+// that the scheduler runs until they may continue. Ties in the event queue
 // are broken by insertion sequence, so a given program + seed always executes
 // identically.
 //
@@ -60,7 +61,8 @@ struct PeFailure {
 /// registry as engine.* counters (see obs::sync_engine_counters).
 struct EngineStats {
   std::uint64_t events = 0;            ///< events dispatched by run()
-  std::uint64_t switches = 0;          ///< fiber context switches
+  std::uint64_t switches = 0;          ///< fiber switch-ins (a parked
+                                       ///< fiber's gate runs count none)
   std::uint64_t event_pool_hits = 0;   ///< events served from the free list
   std::uint64_t event_pool_misses = 0; ///< events served from a fresh slab
   std::uint64_t event_slab_allocs = 0; ///< heap allocations for event slabs
@@ -142,6 +144,20 @@ class Engine {
   /// Blocks the current fiber until some other event calls resume().
   void block();
 
+  /// Parks the current fiber behind `gate(ctx, arg)`, which decides when
+  /// the fiber may continue. The gate runs at once on the fiber; while it
+  /// declines, each later resume event of the fiber runs it on the
+  /// scheduler instead, and the fiber is switched in only in the event
+  /// where it returns true. A declining gate leaves the fiber exactly as a
+  /// fiber about to yield would: with a turn taken through resume()
+  /// (kRunnable) or waiting for some later event to call resume()
+  /// (kBlocked). While the gate runs the fiber is kBlocked, its clock is
+  /// the current time of the parked work, and on the scheduler
+  /// current_fiber() is nullptr. A killed parked fiber is switched in at
+  /// its next resume event without running the gate, and park() throws
+  /// FiberKilled.
+  void park(Gate gate, void* ctx, std::uint64_t arg);
+
   /// Makes `f` runnable again at absolute time `t` (>= its own clock).
   /// A no-op for fibers that are already runnable or finished (e.g. stale
   /// watcher wake-ups racing a kill); must not target a running fiber.
@@ -150,9 +166,10 @@ class Engine {
   // ---- fault injection (scheduler context) ----
 
   /// Kills every fiber of PE `pe` at the current virtual time: blocked and
-  /// runnable fibers unwind via FiberKilled at their next scheduler
-  /// interaction, never-started fibers finish immediately. Records the
-  /// failure and invokes the registered failure hooks. Idempotent.
+  /// runnable fibers (parked ones included) unwind via FiberKilled at their
+  /// next scheduler interaction, never-started fibers finish immediately.
+  /// Records the failure and invokes the registered failure hooks.
+  /// Idempotent.
   void kill_pe(int pe);
 
   /// True once kill_pe(pe) has run.
@@ -254,6 +271,8 @@ class Engine {
   friend class Fiber;
 
   void schedule_resume(Fiber& f);
+  /// Runs a parked fiber's gate in its resume event; true admits it.
+  bool admit(Fiber& f);
   void push_raw(Time t, std::uint64_t seq, RawFn fn, void* ctx,
                 std::uint64_t a, std::uint64_t b);
   void run_fiber(Fiber& f, Time t);

@@ -24,6 +24,7 @@
 #include <ucontext.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 
@@ -51,6 +52,10 @@ class Engine;
 /// workload code that catches (std::exception&) or specific error types must
 /// not be able to swallow a kill; only the fiber trampoline catches it.
 struct FiberKilled {};
+
+/// Admission test of a parked fiber (Engine::park): true lets the fiber
+/// continue; false leaves it parked until its next resume event.
+using Gate = bool (*)(void* ctx, std::uint64_t arg);
 
 class Fiber {
  public:
@@ -118,6 +123,9 @@ class Fiber {
   bool kill_pending_ = false;
   const char* block_op_ = nullptr;
   int block_peer_ = -1;
+  Gate gate_ = nullptr;  // set while parked (Engine::park)
+  void* gate_ctx_ = nullptr;
+  std::uint64_t gate_arg_ = 0;
 
   std::size_t stack_bytes_;   // requested; page-rounded by the pool
   StackPool::Stack stack_{};  // empty until first switch-in

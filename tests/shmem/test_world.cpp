@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "net/fault.hpp"
 #include "net/profiles.hpp"
 
 using namespace shmem;
@@ -410,4 +413,212 @@ TEST(ShmemWorld, QuietOrdersFigure4Sequence) {
     }
     h.world.barrier_all();
   });
+}
+
+// ---- parked barriers and waits ----
+//
+// barrier_all's rounds and wait_until's flag test run as a gate on the
+// scheduler (sim::Engine::park): a PE is switched in only when its barrier
+// or wait is done. The pinned virtual times and event counts below were
+// measured with the fiber running every round itself; parking must move
+// nothing but the switch count.
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+void kill_event(void* engine, std::uint64_t pe, std::uint64_t) {
+  static_cast<sim::Engine*>(engine)->kill_pe(static_cast<int>(pe));
+}
+
+constexpr int kStaggerPes = 64;
+constexpr int kStaggerBarriers = 3;
+
+struct StaggerCase {
+  const char* name;
+  net::Machine machine;
+  net::Library lib;
+  bool node_route;
+  std::uint64_t exit_digest;  ///< FNV-1a over every PE's exit times
+  sim::Time last_exit;
+  std::size_t events;
+};
+
+}  // namespace
+
+TEST(ShmemWorldParked, StaggeredBarriersExactWithOneSwitchInEach) {
+  const StaggerCase cases[] = {
+      {"stampede-mvapich fabric", net::Machine::kStampede,
+       net::Library::kShmemMvapich, false, 14256472254089292914ull, 19'564,
+       3'373},
+      {"stampede-mvapich node", net::Machine::kStampede,
+       net::Library::kShmemMvapich, true, 17004416080844299809ull, 18'550,
+       3'359},
+      {"titan-cray", net::Machine::kTitan, net::Library::kShmemCray, false,
+       12601841774243863690ull, 22'724, 3'363},
+  };
+  for (const StaggerCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Harness h(kStaggerPes, c.machine, c.lib);
+    if (c.node_route) {
+      net::NodeTransportOptions opts;
+      opts.enabled = true;
+      h.world.domain().enable_node_transport(opts);
+    }
+    std::vector<sim::Time> exits(kStaggerPes * kStaggerBarriers, -1);
+    h.run([&] {
+      const int me = h.world.my_pe();
+      h.engine.advance((me * 7919) % 5'000);  // staggered arrivals
+      for (int b = 0; b < kStaggerBarriers; ++b) {
+        h.world.barrier_all();
+        exits[me * kStaggerBarriers + b] = h.engine.now();
+      }
+    });
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const sim::Time t : exits) digest = fnv1a(digest, t);
+    EXPECT_EQ(digest, c.exit_digest);
+    EXPECT_EQ(*std::max_element(exits.begin(), exits.end()), c.last_exit);
+    EXPECT_EQ(h.engine.events_processed(), c.events);
+    // Per PE: the first switch-in, the stagger's turn, one wake per barrier.
+    EXPECT_LE(h.engine.stats().switches,
+              static_cast<std::uint64_t>(kStaggerPes) *
+                  (1 + 2 * kStaggerBarriers));
+  }
+}
+
+TEST(ShmemWorldParked, KilledParkedPesUnwindOnTime) {
+  // PE 0 arrives first and waits on a watcher for PE 63's round-0 flag when
+  // it is killed; PE 40 is killed between its round-0 put and that put's
+  // local completion, while its turn is pending.
+  Harness h(kStaggerPes);
+  std::vector<sim::Time> left(kStaggerPes, -1);
+  struct LeaveStamp {
+    Harness& h;
+    sim::Time& at;
+    ~LeaveStamp() { at = h.engine.now(); }
+  };
+  h.world.launch([&] {
+    const int me = h.world.my_pe();
+    h.engine.advance(me * 1'000);
+    LeaveStamp stamp{h, left[me]};
+    h.world.barrier_all();
+  });
+  h.engine.schedule_raw(10'000, &kill_event, &h.engine, 0);
+  h.engine.schedule_raw(40'001, &kill_event, &h.engine, 40);
+  std::string report;
+  try {
+    h.engine.run();
+  } catch (const sim::FailedImageError& e) {
+    report = e.what();
+  }
+  EXPECT_EQ(left[0], 10'000);  // unwound by the kill's own wake-up
+  EXPECT_EQ(left[40], 40'090);  // unwound at its pending turn
+  // Survivors whose rounds never needed the victims leave; the rest stall.
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const sim::Time t : left) digest = fnv1a(digest, t);
+  EXPECT_EQ(digest, 14605605205566210793ull);
+  EXPECT_EQ(h.engine.events_processed(), 816u);
+  // The survivors' stall report still says what they wait in.
+  EXPECT_NE(report.find("blocked in shmem_wait_until"), std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("<untagged>"), std::string::npos) << report;
+}
+
+TEST(ShmemWorldParked, RoundPutToDeadPeerThrowsAtItsLocalCompletion) {
+  // The round-0 put of `sender` targets `victim`, dead since 1 us: on the
+  // fabric route (another node) the retransmit budget runs out; on the
+  // node route the detached segment fails the one store.
+  struct Leg {
+    const char* name;
+    bool node_route;
+    int sender;
+    int victim;
+    int attempts;
+    sim::Time give_up;
+    sim::Time thrown_at;
+    std::size_t events;
+  };
+  const Leg legs[] = {
+      {"fabric", false, 15, 16, 11, 9'382'184, 5'090, 400},
+      {"node", true, 0, 1, 1, 5'060, 5'010, 386},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    Harness h(32);
+    if (leg.node_route) {
+      net::NodeTransportOptions opts;
+      opts.enabled = true;
+      h.world.domain().enable_node_transport(opts);
+    }
+    net::FaultPlan plan;
+    plan.with_seed(0xBA77).kill_pe(leg.victim, 1'000);
+    net::FaultInjector inj(plan, 32, h.fabric.profile().cores_per_node);
+    h.fabric.set_fault_injector(&inj);
+    inj.arm(h.engine);
+    int dst = -1;
+    int attempts = 0;
+    sim::Time give_up = -1;
+    sim::Time thrown_at = -1;
+    h.world.launch([&] {
+      h.engine.advance(5'000);
+      try {
+        h.world.barrier_all();
+      } catch (const fabric::PeerFailedError& e) {
+        if (h.world.my_pe() != leg.sender) return;
+        dst = e.dst_pe();
+        attempts = e.attempts();
+        give_up = e.time();
+        thrown_at = h.engine.now();
+      }
+    });
+    try {
+      h.engine.run();
+    } catch (const sim::DeadlockError&) {
+      // The survivors stall in the barrier the victim never joins.
+    }
+    EXPECT_EQ(dst, leg.victim);
+    EXPECT_EQ(attempts, leg.attempts);
+    EXPECT_EQ(give_up, leg.give_up);
+    EXPECT_EQ(thrown_at, leg.thrown_at);
+    EXPECT_EQ(h.engine.events_processed(), leg.events);
+  }
+}
+
+TEST(ShmemWorldParked, UnsatisfiedWakeStaysParked) {
+  // PE 1 writes 1, 2, 3 into PE 0's flag; PE 0 waits for >= 3. The first
+  // two writes wake the wait's gate, which re-arms the watcher without
+  // switching PE 0 in: the wait costs one switch-in in all.
+  auto run = [](bool wait, sim::Time* woke, std::size_t* events) {
+    Harness h(2);
+    h.run([&] {
+      auto* flag = static_cast<std::int64_t*>(h.world.shmalloc(8));
+      if (h.world.my_pe() == 0) {
+        if (wait) h.world.wait_until(flag, Cmp::kGe, 3);
+        *woke = h.engine.now();
+        return;
+      }
+      for (std::int64_t v = 1; v <= 3; ++v) {
+        h.engine.advance(1'000);
+        h.world.p(flag, v, 0);
+        h.world.quiet();
+      }
+    });
+    *events = h.engine.events_processed();
+    return h.engine.stats().switches;
+  };
+  sim::Time woke = -1;
+  sim::Time idle = -1;
+  std::size_t events = 0;
+  std::size_t idle_events = 0;
+  const std::uint64_t waiting = run(true, &woke, &events);
+  const std::uint64_t not_waiting = run(false, &idle, &idle_events);
+  EXPECT_EQ(woke, 4'324);
+  EXPECT_EQ(events, 23u);
+  EXPECT_EQ(waiting, not_waiting + 1);
 }

@@ -117,6 +117,88 @@ TEST(Engine, ResumeNeverMovesClockBackwards) {
   EXPECT_EQ(resumed_at, 500_ns);  // clock stays at max(own, resume time)
 }
 
+namespace {
+
+// A gate that declines `declines` times, taking a turn `step` later each
+// time, and records where it ran.
+struct Turns {
+  Engine* eng = nullptr;
+  Fiber* fiber = nullptr;
+  int declines = 0;
+  Time step = 0;
+  std::vector<bool> on_fiber;
+
+  static bool gate(void* ctx, std::uint64_t) {
+    auto* t = static_cast<Turns*>(ctx);
+    t->on_fiber.push_back(t->eng->current_fiber() != nullptr);
+    if (static_cast<int>(t->on_fiber.size()) > t->declines) return true;
+    if (t->step > 0) t->eng->resume(*t->fiber, t->fiber->clock() + t->step);
+    return false;
+  }
+};
+
+}  // namespace
+
+TEST(Engine, ParkRunsGateOnSchedulerAndSwitchesInOnce) {
+  Engine eng;
+  Turns turns{&eng, nullptr, 2, 100_ns, {}};
+  Time admitted_at = -1;
+  eng.spawn(0, [&] {
+    turns.fiber = eng.current_fiber();
+    eng.park(&Turns::gate, &turns, 0);
+    admitted_at = this_pe::now();
+  });
+  eng.run();
+  EXPECT_EQ(admitted_at, 200_ns);
+  EXPECT_EQ(turns.on_fiber, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(eng.events_processed(), 3u);  // start + two turns
+  EXPECT_EQ(eng.stats().switches, 2u);    // start + the admitting turn
+}
+
+TEST(Engine, ParkedFiberWokenByResumeRerunsGate) {
+  Engine eng;
+  Closures ev(eng);
+  Turns turns{&eng, nullptr, 2, 0, {}};
+  Time admitted_at = -1;
+  eng.spawn(0, [&] {
+    turns.fiber = eng.current_fiber();
+    eng.park(&Turns::gate, &turns, 0);
+    admitted_at = this_pe::now();
+  });
+  ev.schedule(40_ns, [&] { eng.resume(*turns.fiber, 40_ns); });
+  ev.schedule(60_ns, [&] { eng.resume(*turns.fiber, 60_ns); });
+  eng.run();
+  EXPECT_EQ(admitted_at, 60_ns);
+  EXPECT_EQ(turns.on_fiber.size(), 3u);
+  EXPECT_EQ(eng.stats().switches, 2u);
+}
+
+TEST(Engine, KilledParkedFiberUnwindsWithoutItsGate) {
+  // Waiting for a wake-up (kBlocked): the kill's own wake-up unwinds it.
+  // With a turn pending (kRunnable): it unwinds at that turn.
+  for (const Time step : {Time{0}, 100_ns}) {
+    Engine eng;
+    Closures ev(eng);
+    Turns turns{&eng, nullptr, 5, step, {}};
+    Time unwound_at = -1;
+    struct Stamp {
+      Engine& eng;
+      Time& at;
+      ~Stamp() { at = eng.now(); }
+    };
+    eng.spawn(0, [&] {
+      Stamp stamp{eng, unwound_at};
+      turns.fiber = eng.current_fiber();
+      eng.park(&Turns::gate, &turns, 0);
+      ADD_FAILURE() << "a killed fiber must not be admitted";
+    });
+    ev.schedule(30_ns, [&] { eng.kill_pe(0); });
+    eng.run();
+    EXPECT_EQ(unwound_at, step == 0 ? 30_ns : 100_ns);
+    EXPECT_EQ(turns.on_fiber.size(), 1u);
+  }
+}
+
 TEST(Engine, ManyFibersInterleaveDeterministically) {
   auto run_once = [] {
     Engine eng;
