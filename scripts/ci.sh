@@ -168,6 +168,12 @@ CAF_TRACE="$ART/fig9_dht_trace.json" ./build-release/bench/fig9_dht --smoke 8
 python3 -m json.tool "$ART/fig9_dht_trace.json" > /dev/null
 echo "trace artifact ok: $ART/fig9_dht_trace.json"
 
+echo "=== Repository benchmark smoke: perfbench failover ==="
+# perfbench/ is its own CMake tree (BENCHMARK.json's command), which the
+# suites above never build. One short failover run builds it from src/ and
+# runs its output checks: run.py exits non-zero when a check fails.
+python3 perfbench/run.py --workload failover --seed 1 --seconds 1 --trace 0
+
 echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
 # Host-side engine health: queue events/sec, fiber switches/sec, zero
 # steady-state heap slabs (exact-match gate), and the two at-scale smokes

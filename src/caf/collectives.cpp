@@ -28,7 +28,9 @@ void CollectiveEngine::init() {
   // number of barriers in Runtime::init sets the start time of every run;
   // whole pages keep the page alignment, and so the first-touch footprint,
   // of everything allocated after it. Runs without failures never touch
-  // it. The checked-in fault-free baselines depend on both.
+  // it. The allocation count fixes every run's virtual results; the page
+  // alignment only moves the host footprint (perfbench's peak_rss_mb and
+  // minflt).
   constexpr std::size_t kPageBytes = 4096;
   const std::size_t team_idents =
       static_cast<std::size_t>(node_size_ + num_nodes_);
@@ -43,63 +45,81 @@ void CollectiveEngine::init() {
   // would charge every program 18 startup barriers (visible in the fig9 DHT
   // totals at 1024 images) where one suffices. Offsets are carved locally;
   // the arithmetic is identical on every image, so the layout stays
-  // symmetric. Slot areas are 8-byte aligned by construction (every size
-  // below is a multiple of 8).
+  // symmetric. Every size below is a multiple of 8.
+  //
+  // The layout packs what small collectives touch at the head: first every
+  // 8-byte flag, counter and ack cell, then the compact twins of the slot
+  // arrays (kSmallSlotBytes per slot), then the full slots and the pipeline
+  // banks. An image running only small collectives touches the head alone
+  // — one page at the usual node and machine sizes — instead of a page per
+  // broadcast bank plus the pages its scattered cells fell on.
   const std::size_t depth = static_cast<std::size_t>(std::max(1, opts_.pipe_depth));
+  const auto levels = static_cast<std::size_t>(levels_);
+  const auto members = static_cast<std::size_t>(node_size_);
+  const auto rounds = static_cast<std::size_t>(rd_rounds_);
   std::size_t total = 0;
   auto carve = [&total](std::size_t bytes) {
     const std::size_t off = total;
     total += bytes;
     return off;
   };
+  constexpr std::size_t kCell = sizeof(std::int64_t);
+  const std::size_t bc_flag_rel = carve(kBcBanks * kCell);
+  const std::size_t tree_flag_rel = carve(levels * kCell);
+  const std::size_t gather_flag_rel = carve(members * kCell);
+  const std::size_t rd_flag_rel = carve(rounds * kCell);
+  const std::size_t flat_ctr_rel = carve(kCell);
+  const std::size_t bar_cells_rel = carve((levels + 1) * kCell);
+  const std::size_t bar_gather_rel = carve(kCell);
+  const std::size_t bar_release_rel = carve(kCell);
+  const std::size_t pd_flag_rel = carve(kCell);
+  const std::size_t pd_ack_rel = carve(2 * kCell);
+  const std::size_t pu_flag_rel = carve(2 * kCell);
+  const std::size_t pu_ack_rel = carve(kCell);
+  const std::size_t cells_bytes = total;
+  const std::size_t bc_twin_rel = carve(kBcBanks * kSmallSlotBytes);
+  const std::size_t tree_twin_rel = carve(levels * kSmallSlotBytes);
+  const std::size_t gather_twin_rel = carve(members * kSmallSlotBytes);
+  const std::size_t rd_twin_rel = carve(rounds * kSmallSlotBytes);
+  // Pad the twins to whole pages: every later allocation (RPC mailbox
+  // rows, the program's coarrays) keeps the page phase, and so the
+  // first-touch footprint, that the cells and full slots alone give it.
+  carve((kPageBytes - (total - cells_bytes) % kPageBytes) % kPageBytes);
   const std::size_t bc_slot_rel = carve(kBcBanks * kSlotBytes);
-  const std::size_t bc_flag_rel = carve(kBcBanks * sizeof(std::int64_t));
-  const std::size_t tree_slot_rel =
-      carve(static_cast<std::size_t>(levels_) * kSlotBytes);
-  const std::size_t tree_flag_rel =
-      carve(static_cast<std::size_t>(levels_) * sizeof(std::int64_t));
-  const std::size_t gather_slot_rel =
-      carve(static_cast<std::size_t>(node_size_) * opts_.rd_max_bytes);
-  const std::size_t gather_flag_rel =
-      carve(static_cast<std::size_t>(node_size_) * sizeof(std::int64_t));
-  const std::size_t rd_slot_rel =
-      carve(static_cast<std::size_t>(rd_rounds_) * opts_.rd_max_bytes);
-  const std::size_t rd_flag_rel =
-      carve(static_cast<std::size_t>(rd_rounds_) * sizeof(std::int64_t));
-  const std::size_t flat_ctr_rel = carve(sizeof(std::int64_t));
-  const std::size_t bar_cells_rel =
-      carve(static_cast<std::size_t>(levels_ + 1) * sizeof(std::int64_t));
-  const std::size_t bar_gather_rel = carve(sizeof(std::int64_t));
-  const std::size_t bar_release_rel = carve(sizeof(std::int64_t));
+  const std::size_t tree_slot_rel = carve(levels * kSlotBytes);
+  const std::size_t gather_slot_rel = carve(members * opts_.rd_max_bytes);
+  const std::size_t rd_slot_rel = carve(rounds * opts_.rd_max_bytes);
   const std::size_t pd_bank_rel = carve(depth * opts_.pipe_chunk);
-  const std::size_t pd_flag_rel = carve(sizeof(std::int64_t));
-  const std::size_t pd_ack_rel = carve(2 * sizeof(std::int64_t));
   const std::size_t pu_bank_rel = carve(2 * depth * opts_.pipe_chunk);
-  const std::size_t pu_flag_rel = carve(2 * sizeof(std::int64_t));
-  const std::size_t pu_ack_rel = carve(sizeof(std::int64_t));
-  const std::uint64_t base = conduit_.allocate(total);
-  bc_slot_off_ = base + bc_slot_rel;
+  staging_bytes_ = total;
+  staging_off_ = conduit_.allocate(total);
+  const std::uint64_t base = staging_off_;
   bc_flag_off_ = base + bc_flag_rel;
-  tree_slot_off_ = base + tree_slot_rel;
   tree_flag_off_ = base + tree_flag_rel;
-  gather_slot_off_ = base + gather_slot_rel;
   gather_flag_off_ = base + gather_flag_rel;
-  rd_slot_off_ = base + rd_slot_rel;
   rd_flag_off_ = base + rd_flag_rel;
   flat_ctr_off_ = base + flat_ctr_rel;
   bar_cells_off_ = base + bar_cells_rel;
   bar_gather_off_ = base + bar_gather_rel;
   bar_release_off_ = base + bar_release_rel;
-  pd_bank_off_ = base + pd_bank_rel;
   pd_flag_off_ = base + pd_flag_rel;
   pd_ack_off_ = base + pd_ack_rel;
-  pu_bank_off_ = base + pu_bank_rel;
   pu_flag_off_ = base + pu_flag_rel;
   pu_ack_off_ = base + pu_ack_rel;
+  bc_twin_off_ = base + bc_twin_rel;
+  tree_twin_off_ = base + tree_twin_rel;
+  gather_twin_off_ = base + gather_twin_rel;
+  rd_twin_off_ = base + rd_twin_rel;
+  bc_slot_off_ = base + bc_slot_rel;
+  tree_slot_off_ = base + tree_slot_rel;
+  gather_slot_off_ = base + gather_slot_rel;
+  rd_slot_off_ = base + rd_slot_rel;
+  pd_bank_off_ = base + pd_bank_rel;
+  pu_bank_off_ = base + pu_bank_rel;
 
-  // Zero this image's flag/counter cells; nobody puts into them until every
-  // image left Runtime::init()'s closing barrier.
-  std::memset(local(bc_flag_off_), 0, kBcBanks * sizeof(std::int64_t));
+  // Zero this image's cells; nobody puts into them until every image left
+  // Runtime::init()'s closing barrier.
+  std::memset(local(base), 0, cells_bytes);
   // Only clear team cells that hold stale data: a fresh segment reads as
   // zeros without those pages ever becoming resident.
   std::byte* cells = local(mark_cell_off_);
@@ -107,21 +127,6 @@ void CollectiveEngine::init() {
                   [](std::byte b) { return b != std::byte{0}; })) {
     std::memset(cells, 0, team_cells);
   }
-  std::memset(local(tree_flag_off_), 0,
-              static_cast<std::size_t>(levels_) * sizeof(std::int64_t));
-  std::memset(local(gather_flag_off_), 0,
-              static_cast<std::size_t>(node_size_) * sizeof(std::int64_t));
-  std::memset(local(rd_flag_off_), 0,
-              static_cast<std::size_t>(rd_rounds_) * sizeof(std::int64_t));
-  std::memset(local(flat_ctr_off_), 0, sizeof(std::int64_t));
-  std::memset(local(bar_cells_off_), 0,
-              static_cast<std::size_t>(levels_ + 1) * sizeof(std::int64_t));
-  std::memset(local(bar_gather_off_), 0, sizeof(std::int64_t));
-  std::memset(local(bar_release_off_), 0, sizeof(std::int64_t));
-  std::memset(local(pd_flag_off_), 0, sizeof(std::int64_t));
-  std::memset(local(pd_ack_off_), 0, 2 * sizeof(std::int64_t));
-  std::memset(local(pu_flag_off_), 0, 2 * sizeof(std::int64_t));
-  std::memset(local(pu_ack_off_), 0, sizeof(std::int64_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +378,7 @@ void CollectiveEngine::broadcast(void* data, std::size_t nbytes, int root0) {
 
 void CollectiveEngine::bcast_flat(void* data, std::size_t nbytes, int root0,
                                   std::int64_t gen) {
-  const std::uint64_t slot = bc_slot(gen);
+  const std::uint64_t slot = bc_slot(gen, nbytes);
   const std::uint64_t flag = bc_flag(gen);
   if (me() == root0) {
     std::memcpy(local(slot), data, nbytes);
@@ -389,7 +394,7 @@ void CollectiveEngine::bcast_flat(void* data, std::size_t nbytes, int root0,
 
 void CollectiveEngine::bcast_binomial(void* data, std::size_t nbytes,
                                       int root0, std::int64_t gen) {
-  const std::uint64_t slot = bc_slot(gen);
+  const std::uint64_t slot = bc_slot(gen, nbytes);
   const std::uint64_t flag = bc_flag(gen);
   const int vr = (me() - root0 + n_) % n_;
   if (vr == 0) std::memcpy(local(slot), data, nbytes);
@@ -414,7 +419,7 @@ void CollectiveEngine::node_fanout(int local_root, void* data,
   const int base = node_of(me()) * node_size_;
   const int nm = node_members(node_of(me()));
   if (nm <= 1) return;
-  const std::uint64_t slot = bc_slot(gen);
+  const std::uint64_t slot = bc_slot(gen, nbytes);
   const std::uint64_t flag = bc_flag(gen);
   const int lr = local_root - base;
   const int vl = (me() - base - lr + nm) % nm;
@@ -446,7 +451,7 @@ void CollectiveEngine::bcast_two_level(void* data, std::size_t nbytes,
   };
   const int my_lidx = (node_of(me()) - root_node + L) % L;
   const int my_lead = lead_rank(my_lidx);
-  const std::uint64_t slot = bc_slot(gen);
+  const std::uint64_t slot = bc_slot(gen, nbytes);
   const std::uint64_t flag = bc_flag(gen);
   if (me() == root0) std::memcpy(local(slot), data, nbytes);
   if (me() == my_lead) {
@@ -528,7 +533,7 @@ void CollectiveEngine::reduce_flat(
     void* data, std::size_t nelems, std::size_t elem,
     const std::function<void(void*, const void*)>& comb, std::int64_t gen) {
   const std::size_t nbytes = nelems * elem;
-  const std::uint64_t slot = bc_slot(gen);
+  const std::uint64_t slot = bc_slot(gen, nbytes);
   const std::int64_t fc = ++state().flat_calls;
   if (me() != 0) {
     // Stage locally, announce arrival; the result broadcast below doubles
@@ -554,7 +559,7 @@ void CollectiveEngine::reduce_binomial(
   int level = 0;
   for (int mask = 1; mask < n_; mask <<= 1, ++level) {
     assert(level < levels_);
-    const std::uint64_t slot = tree_slot(level);
+    const std::uint64_t slot = tree_slot(level, nbytes);
     const std::uint64_t flag = tree_flag(level);
     if (me() & mask) {
       send_payload(me() - mask, slot, data, nbytes, flag, gen);
@@ -591,17 +596,17 @@ void CollectiveEngine::rd_allreduce(
   // for non-commutative combiners.)
   if (gi < 2 * extra && (gi & 1) != 0) {
     const int partner = group[static_cast<std::size_t>(gi - 1)];
-    send_payload(partner, rd_slot(fold_slot), data, nbytes, rd_flag(fold_slot),
-                 gen);
+    send_payload(partner, rd_slot(fold_slot, nbytes), data, nbytes,
+                 rd_flag(fold_slot), gen);
     wait_ge(rd_flag(ret_slot), gen);
-    std::memcpy(data, local(rd_slot(ret_slot)), nbytes);
+    std::memcpy(data, local(rd_slot(ret_slot, nbytes)), nbytes);
     return;
   }
   const bool absorbed = gi < 2 * extra;
   if (absorbed) {
     wait_ge(rd_flag(fold_slot), gen);
     // The absorbed neighbour is gi+1: fold from the right.
-    combine_buf(data, local(rd_slot(fold_slot)), nelems, elem, comb);
+    combine_buf(data, local(rd_slot(fold_slot, nbytes)), nelems, elem, comb);
   }
   // Survivor index: pairs occupy group positions [0, 2*extra), singletons
   // follow. The map is monotone, so ascending survivor index == ascending
@@ -614,21 +619,22 @@ void CollectiveEngine::rd_allreduce(
   std::vector<std::byte> tmp(nbytes);
   for (int r = 0; (1 << r) < g2; ++r) {
     const int pj = j ^ (1 << r);
-    send_payload(survivor(pj), rd_slot(r), data, nbytes, rd_flag(r), gen);
+    send_payload(survivor(pj), rd_slot(r, nbytes), data, nbytes, rd_flag(r),
+                 gen);
     wait_ge(rd_flag(r), gen);
     if (pj < j) {
       // Partner covers the lower indices: result = theirs ∘ mine.
-      std::memcpy(tmp.data(), local(rd_slot(r)), nbytes);
+      std::memcpy(tmp.data(), local(rd_slot(r, nbytes)), nbytes);
       combine_buf(tmp.data(), data, nelems, elem, comb);
       std::memcpy(data, tmp.data(), nbytes);
     } else {
-      combine_buf(data, local(rd_slot(r)), nelems, elem, comb);
+      combine_buf(data, local(rd_slot(r, nbytes)), nelems, elem, comb);
     }
   }
   if (absorbed) {
     const int partner = group[static_cast<std::size_t>(gi + 1)];
-    send_payload(partner, rd_slot(ret_slot), data, nbytes, rd_flag(ret_slot),
-                 gen);
+    send_payload(partner, rd_slot(ret_slot, nbytes), data, nbytes,
+                 rd_flag(ret_slot), gen);
   }
 }
 
@@ -643,11 +649,12 @@ void CollectiveEngine::reduce_two_level(
   const int lead = base;
   if (me() != lead) {
     const int idx = me() - base;
-    send_payload(lead, gather_slot(idx), data, nbytes, gather_flag(idx), gen);
+    send_payload(lead, gather_slot(idx, nbytes), data, nbytes,
+                 gather_flag(idx), gen);
   } else {
     for (int i = 1; i < nm; ++i) {
       wait_ge(gather_flag(i), gen);
-      combine_buf(data, local(gather_slot(i)), nelems, elem, comb);
+      combine_buf(data, local(gather_slot(i, nbytes)), nelems, elem, comb);
     }
     if (num_nodes_ > 1) {
       std::vector<int> leaders(static_cast<std::size_t>(num_nodes_));
@@ -656,7 +663,7 @@ void CollectiveEngine::reduce_two_level(
       }
       rd_allreduce(leaders, my_node, data, nelems, elem, comb, gen);
     }
-    std::memcpy(local(bc_slot(gen)), data, nbytes);
+    std::memcpy(local(bc_slot(gen, nbytes)), data, nbytes);
   }
   node_fanout(lead, data, nbytes, gen);
 }

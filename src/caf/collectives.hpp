@@ -180,10 +180,19 @@ class CollectiveEngine {
   CollAlgo pick_reduce(std::size_t nbytes) const;
 
   const CollOptions& options() const { return opts_; }
+  /// The symmetric staging allocation (cells, twins, slots and banks), so
+  /// tests can check which of its pages an image touched.
+  std::uint64_t staging_offset() const { return staging_off_; }
+  std::size_t staging_bytes() const { return staging_bytes_; }
   const CollTelemetry& telemetry() { return state().tele; }
 
   /// Staging granularity of the non-pipelined arms (one slot bank).
   static constexpr std::size_t kSlotBytes = 8192;
+  /// Payloads up to this size stage in a slot array's compact twin, packed
+  /// next to the flag cells, instead of in its full slots. Sender and
+  /// receiver pick by payload size, which every image of a collective
+  /// shares.
+  static constexpr std::size_t kSmallSlotBytes = 64;
   /// Broadcast-slot ring depth == generations allowed between window
   /// barriers (see next_bc_gen()).
   static constexpr int kBcBanks = 8;
@@ -379,28 +388,39 @@ class CollectiveEngine {
   std::vector<int> knomial_children(int v, int count) const;
   int knomial_parent(int v) const;
 
-  std::uint64_t bc_slot(std::int64_t gen) const {
-    return bc_slot_off_ +
-           static_cast<std::uint64_t>(gen % kBcBanks) * kSlotBytes;
+  /// Slot `idx` of a slot array: its compact twin (at `twin`) for payloads
+  /// up to kSmallSlotBytes, its full slots (at `full`, `stride` apart)
+  /// otherwise. Both share the array's flag cells.
+  static std::uint64_t slot_of(std::uint64_t twin, std::uint64_t full,
+                               std::size_t stride, std::uint64_t idx,
+                               std::size_t nbytes) {
+    return nbytes <= kSmallSlotBytes ? twin + idx * kSmallSlotBytes
+                                     : full + idx * stride;
+  }
+  std::uint64_t bc_slot(std::int64_t gen, std::size_t nbytes) const {
+    return slot_of(bc_twin_off_, bc_slot_off_, kSlotBytes,
+                   static_cast<std::uint64_t>(gen % kBcBanks), nbytes);
   }
   std::uint64_t bc_flag(std::int64_t gen) const {
     return bc_flag_off_ + static_cast<std::uint64_t>(gen % kBcBanks) * 8;
   }
-  std::uint64_t tree_slot(int level) const {
-    return tree_slot_off_ + static_cast<std::uint64_t>(level) * kSlotBytes;
+  std::uint64_t tree_slot(int level, std::size_t nbytes) const {
+    return slot_of(tree_twin_off_, tree_slot_off_, kSlotBytes,
+                   static_cast<std::uint64_t>(level), nbytes);
   }
   std::uint64_t tree_flag(int level) const {
     return tree_flag_off_ + static_cast<std::uint64_t>(level) * 8;
   }
-  std::uint64_t gather_slot(int idx) const {
-    return gather_slot_off_ +
-           static_cast<std::uint64_t>(idx) * opts_.rd_max_bytes;
+  std::uint64_t gather_slot(int idx, std::size_t nbytes) const {
+    return slot_of(gather_twin_off_, gather_slot_off_, opts_.rd_max_bytes,
+                   static_cast<std::uint64_t>(idx), nbytes);
   }
   std::uint64_t gather_flag(int idx) const {
     return gather_flag_off_ + static_cast<std::uint64_t>(idx) * 8;
   }
-  std::uint64_t rd_slot(int r) const {
-    return rd_slot_off_ + static_cast<std::uint64_t>(r) * opts_.rd_max_bytes;
+  std::uint64_t rd_slot(int r, std::size_t nbytes) const {
+    return slot_of(rd_twin_off_, rd_slot_off_, opts_.rd_max_bytes,
+                   static_cast<std::uint64_t>(r), nbytes);
   }
   std::uint64_t rd_flag(int r) const {
     return rd_flag_off_ + static_cast<std::uint64_t>(r) * 8;
@@ -426,25 +446,32 @@ class CollectiveEngine {
   int levels_ = 1;      ///< ceil(log2(num images))
   int rd_rounds_ = 1;   ///< slots provisioned for recursive doubling
 
-  // Symmetric staging areas (offsets identical on every image).
-  std::uint64_t bc_slot_off_ = 0;    ///< kBcBanks ring of broadcast slots
+  // Symmetric staging areas (offsets identical on every image), in
+  // allocation order: cells, compact twins, full slots, pipeline banks.
+  std::uint64_t staging_off_ = 0;    ///< the one staging allocation
+  std::size_t staging_bytes_ = 0;
   std::uint64_t bc_flag_off_ = 0;    ///< kBcBanks ring of broadcast flags
-  std::uint64_t tree_slot_off_ = 0;  ///< per-level binomial-reduce slots
-  std::uint64_t tree_flag_off_ = 0;
-  std::uint64_t gather_slot_off_ = 0;///< per-member intra-node gather slots
-  std::uint64_t gather_flag_off_ = 0;
-  std::uint64_t rd_slot_off_ = 0;    ///< per-round recursive-doubling slots
-  std::uint64_t rd_flag_off_ = 0;
+  std::uint64_t tree_flag_off_ = 0;  ///< per-level binomial-reduce flags
+  std::uint64_t gather_flag_off_ = 0;///< per-member intra-node gather flags
+  std::uint64_t rd_flag_off_ = 0;    ///< per-round recursive-doubling flags
   std::uint64_t flat_ctr_off_ = 0;   ///< flat-reduce arrival counter
   std::uint64_t bar_cells_off_ = 0;  ///< leader dissemination round cells
   std::uint64_t bar_gather_off_ = 0; ///< intra-node barrier arrival counter
   std::uint64_t bar_release_off_ = 0;///< intra-node barrier release flag
-  std::uint64_t pd_bank_off_ = 0;    ///< down-stream (broadcast) chunk banks
   std::uint64_t pd_flag_off_ = 0;    ///< down-stream chunk counter
   std::uint64_t pd_ack_off_ = 0;     ///< per-child down-stream ack cells (2)
-  std::uint64_t pu_bank_off_ = 0;    ///< up-stream (reduce) per-child banks
   std::uint64_t pu_flag_off_ = 0;    ///< per-child up-stream chunk counters
   std::uint64_t pu_ack_off_ = 0;     ///< up-stream ack cell (from parent)
+  std::uint64_t bc_twin_off_ = 0;    ///< compact twins of the slot arrays
+  std::uint64_t tree_twin_off_ = 0;
+  std::uint64_t gather_twin_off_ = 0;
+  std::uint64_t rd_twin_off_ = 0;
+  std::uint64_t bc_slot_off_ = 0;    ///< kBcBanks ring of broadcast slots
+  std::uint64_t tree_slot_off_ = 0;  ///< per-level binomial-reduce slots
+  std::uint64_t gather_slot_off_ = 0;///< per-member intra-node gather slots
+  std::uint64_t rd_slot_off_ = 0;    ///< per-round recursive-doubling slots
+  std::uint64_t pd_bank_off_ = 0;    ///< down-stream (broadcast) chunk banks
+  std::uint64_t pu_bank_off_ = 0;    ///< up-stream (reduce) per-child banks
   std::uint64_t mark_cell_off_ = 0;  ///< team_ident-indexed marks
   std::uint64_t mark_slot_off_ = 0;  ///< [partial or result | last result]
 

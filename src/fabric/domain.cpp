@@ -281,8 +281,13 @@ void Domain::poke(int dst_pe, std::uint64_t dst_off, const void* src,
   if (write_hook_) write_hook_({dst_pe, dst_off, n, t});
 }
 
-void Domain::enqueue(int me, PendingMsg* m, net::PutCompletion& c) {
-  const std::uint32_t pair = pair_id(me, m->dst_pe);
+void Domain::enqueue(int me, PendingMsg* m, net::PutCompletion& c,
+                     std::uint32_t* cached) {
+  if (cached != nullptr && *cached == kNoPair) {
+    *cached = pair_id(me, m->dst_pe);
+  }
+  const std::uint32_t pair =
+      cached != nullptr ? *cached : pair_id(me, m->dst_pe);
   c.delivered = clamp_in_order(pair, c.delivered);
   note_outstanding(me, c.delivered);
   m->t = c.delivered;
@@ -311,7 +316,8 @@ net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
 
 net::PutCompletion Domain::put_at(int me, sim::Time now, int dst_pe,
                                   std::uint64_t dst_off, const void* src,
-                                  std::size_t n, bool pipelined) {
+                                  std::size_t n, bool pipelined,
+                                  std::uint32_t* pair) {
   assert(dst_off + n <= segment_bytes_);
   net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
@@ -335,7 +341,7 @@ net::PutCompletion Domain::put_at(int me, sim::Time now, int dst_pe,
   m->payload_bytes = static_cast<std::uint32_t>(n);
   m->buf = buf_pool_.acquire(n, &m->buf_cls);
   std::memcpy(m->buf, src, n);
-  enqueue(me, m, c);
+  enqueue(me, m, c, pair);
   return c;
 }
 

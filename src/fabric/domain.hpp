@@ -203,9 +203,17 @@ class Domain {
   /// scheduler (a parked fiber's gate, see sim::Engine::park); put() is
   /// put_at() plus the advance to local completion and the
   /// PeerFailedError. The range must lie within the segment.
+  ///
+  /// `pair`, when given, caches the (me, dst_pe) pair id for a caller that
+  /// puts to the same peer again and again: a queued put that finds
+  /// kNoPair there looks the id up (minting it on first contact, as every
+  /// put does) and stores it; later puts skip the lookup.
   net::PutCompletion put_at(int me, sim::Time now, int dst_pe,
                             std::uint64_t dst_off, const void* src,
-                            std::size_t n, bool pipelined);
+                            std::size_t n, bool pipelined,
+                            std::uint32_t* pair = nullptr);
+  /// An empty put_at pair-id cache.
+  static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
 
   /// Writes `n` bytes into `dst_pe`'s segment immediately (at the current
   /// scheduler event's virtual time `t`) and fires the write hook. Used by
@@ -351,7 +359,9 @@ class Domain {
   /// Sends the filled message `m` from `me` with completion `c`: clamps
   /// `c.delivered` in order on the pair, records it as outstanding, stamps
   /// `m` with it and a reserved seq, and appends it to the stream.
-  void enqueue(int me, PendingMsg* m, net::PutCompletion& c);
+  /// `cached` is put_at's pair-id cache.
+  void enqueue(int me, PendingMsg* m, net::PutCompletion& c,
+               std::uint32_t* cached = nullptr);
   /// The blocking tail of every put: advances the caller to `c`'s local
   /// completion, then throws PeerFailedError if `c` failed.
   net::PutCompletion complete_local(const char* op, int me, int dst_pe,

@@ -236,7 +236,7 @@ std::int64_t World::load_i64(int pe, std::uint64_t off) const {
 void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value) {
   const int me = my_pe();
   Wait& w = waits_[me];
-  w = Wait{};
+  w.restart();
   w.off = sym_off(ivar, "wait_until");
   w.cmp = cmp;
   w.value = value;
@@ -277,15 +277,17 @@ bool World::step(int me) {
       if (w.dist >= w.as.pe_size) return true;
     }
     const int peer = w.as.world_pe((w.rel + w.dist) % w.as.pe_size);
-    w.off = w.flags_off + sizeof(std::int64_t) *
-                              static_cast<std::uint64_t>(
-                                  std::countr_zero(
-                                      static_cast<unsigned>(w.dist)));
+    const int round = std::countr_zero(static_cast<unsigned>(w.dist));
+    w.off = w.flags_off +
+            sizeof(std::int64_t) * static_cast<std::uint64_t>(round);
     w.dist <<= 1;
     w.test_due = true;
+    Wait::RoundPair& rp = w.round_pairs[static_cast<std::size_t>(round)];
+    if (rp.peer != peer) rp = {peer, fabric::Domain::kNoPair};
     const sim::Time now = f.clock();
-    const net::PutCompletion c = domain_->put_at(
-        me, now, peer, w.off, &w.value, sizeof w.value, /*pipelined=*/true);
+    const net::PutCompletion c =
+        domain_->put_at(me, now, peer, w.off, &w.value, sizeof w.value,
+                        /*pipelined=*/true, &rp.id);
     if (!c.ok) {
       w.failed_peer = peer;
       w.failed_attempts = c.attempts;
@@ -380,7 +382,7 @@ void World::dissemination(const ActiveSet& as, std::uint64_t flags_off,
   assert(as.pe_size <= (1 << kMaxRounds));
   const int me = my_pe();
   Wait& w = waits_[me];
-  w = Wait{};
+  w.restart();
   w.as = as;
   w.rel = as.rel_of(me);
   w.flags_off = flags_off;

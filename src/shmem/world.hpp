@@ -18,6 +18,7 @@
 // All methods must be called from a PE fiber (spawned via launch()).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -216,6 +217,9 @@ class World {
   std::size_t heap_user_bytes() const;
 
  private:
+  static constexpr int kMaxRounds = 16;   // supports up to 65536 PEs
+  static constexpr std::size_t kReduceSlotBytes = 8192;
+
   struct Watcher {
     std::uint64_t off;
     std::size_t len;
@@ -242,6 +246,21 @@ class World {
     int failed_peer = -1;        ///< a round's put the transport gave up on
     int failed_attempts = 0;
     sim::Time failed_at = 0;     ///< that put's give-up time
+    /// The fabric pair id of each round's put, kept across waits (see
+    /// restart): a round's peer is fixed for a given PE and active set, so
+    /// the Domain's pair lookup runs once per peer, not once per put.
+    struct RoundPair {
+      int peer = -1;
+      std::uint32_t id = fabric::Domain::kNoPair;
+    };
+    std::array<RoundPair, kMaxRounds> round_pairs{};
+
+    /// Starts a new wait: every field back to its default but round_pairs.
+    void restart() {
+      const std::array<RoundPair, kMaxRounds> keep = round_pairs;
+      *this = Wait{};
+      round_pairs = keep;
+    }
   };
 
   /// Parks the calling PE until its wait (set up in waits_) is done, via
@@ -297,9 +316,6 @@ class World {
   std::uint64_t bcast_flag_off_ = 0;      // 1 int64
   std::uint64_t reduce_flags_off_ = 0;    // kMaxRounds int64
   std::uint64_t reduce_slots_off_ = 0;    // kMaxRounds * kReduceSlotBytes
-
-  static constexpr int kMaxRounds = 16;   // supports up to 65536 PEs
-  static constexpr std::size_t kReduceSlotBytes = 8192;
 };
 
 namespace detail {

@@ -3,7 +3,11 @@
 // sequential ascending-rank fold — including a non-commutative (but
 // associative) combiner, which exposes any arm that merges out of order.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -75,6 +79,19 @@ void mat_comb(void* a, const void* b) {
 
 std::int64_t bcast_val(int root0, std::size_t i) {
   return root0 * 1'000'003LL + static_cast<std::int64_t>(i) * 7 + 1;
+}
+
+/// mincore's residency bits for the pages of [seg, seg + bytes), the first
+/// page being the one `seg` lies in.
+std::vector<unsigned char> residency(const std::byte* seg, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto lo = reinterpret_cast<std::uintptr_t>(seg) & ~(page - 1);
+  const auto hi = reinterpret_cast<std::uintptr_t>(seg + bytes);
+  std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+  if (mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()) != 0) {
+    ADD_FAILURE() << "mincore failed";
+  }
+  return vec;
 }
 
 class CollConformance : public ::testing::TestWithParam<Stack> {};
@@ -317,4 +334,144 @@ TEST(CollEngine, PipelinedTelemetryShowsStreaming) {
       EXPECT_GE(rt.coll_engine()->telemetry().chunks_pipelined, 32u);
     }
   });
+}
+
+TEST(CollEngine, SmallAndLargePayloadsShareBanksSafely) {
+  // Payloads up to kSmallSlotBytes stage in the compact twins, larger ones
+  // in the full slots, and both share a bank's flag. Cycling 8, 64, 65 and
+  // 1024 bytes over more than 2 * kBcBanks generations puts small and
+  // large payloads on every bank in turn; a receiver reading the wrong
+  // slot, or a bank reused while still in flight, shows up as a wrong
+  // byte. First back-to-back broadcasts from one root, which never waits
+  // and so runs up to kBcBanks generations ahead of the late images; then
+  // broadcasts from rotating roots alternating with allreduces. Runs on a
+  // two-level (3 Stampede nodes) and a flat topology.
+  constexpr std::size_t kSizes[] = {8, 64, 65, 1024};
+  constexpr int kRounds = 3 * caf::CollectiveEngine::kBcBanks;
+  constexpr int kImages = 40;
+  auto byte_of = [](int round, int image0, std::size_t i) {
+    return static_cast<std::uint8_t>(round * 37 + image0 * 11 +
+                                     static_cast<int>(i) * 5 + 1);
+  };
+  for (const bool hierarchical : {true, false}) {
+    caf::Options o = coll_opts(CollAlgo::kAuto, CollAlgo::kAuto);
+    o.coll.hierarchical = hierarchical;
+    Harness h(Stack::kShmemMvapich, kImages, o);
+    h.run([&] {
+      auto& rt = h.rt();
+      const int me0 = rt.this_image() - 1;
+      const std::string where = " on image " + std::to_string(me0 + 1) +
+                                (hierarchical ? ", two-level" : ", flat");
+      constexpr int kRoot0 = 3;
+      if (me0 % 5 == 1) h.engine().advance(20'000);  // late images
+      std::vector<std::vector<std::uint8_t>> got(kRounds);
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t n = kSizes[round % 4];
+        got[round].assign(n, 0);
+        if (me0 == kRoot0) {
+          for (std::size_t i = 0; i < n; ++i) {
+            got[round][i] = byte_of(round, kRoot0, i);
+          }
+        }
+        rt.co_broadcast(got[round].data(), n, kRoot0 + 1);
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < got[round].size(); ++i) {
+          ASSERT_EQ(got[round][i], byte_of(round, kRoot0, i))
+              << "streamed broadcast " << round << " (" << got[round].size()
+              << " B), byte " << i << where;
+        }
+      }
+      std::vector<std::uint8_t> buf;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t n = kSizes[round % 4];
+        const int root0 = (round * 7) % kImages;
+        buf.assign(n, 0);
+        if (me0 == root0) {
+          for (std::size_t i = 0; i < n; ++i) buf[i] = byte_of(round, root0, i);
+        }
+        rt.co_broadcast(buf.data(), n, root0 + 1);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(buf[i], byte_of(round, root0, i))
+              << "broadcast " << round << " (" << n << " B), byte " << i
+              << where;
+        }
+        for (std::size_t i = 0; i < n; ++i) buf[i] = byte_of(round, me0, i);
+        rt.co_sum(buf.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          std::uint8_t want = 0;
+          for (int r = 0; r < kImages; ++r) {
+            want = static_cast<std::uint8_t>(want + byte_of(round, r, i));
+          }
+          ASSERT_EQ(buf[i], want) << "allreduce " << round << " (" << n
+                                  << " B), byte " << i << where;
+        }
+      }
+      rt.sync_all();
+    });
+  }
+}
+
+TEST(CollFootprint, SmallCollectivesTouchOnePageOfStaging) {
+  // Flag cells and small-payload slots are packed at the head of the
+  // engine's staging allocation, so an image that only takes part in small
+  // collectives touches (nearly) none of the rest: at most 2 staging pages,
+  // where a slot per broadcast bank 8 KiB apart would cost one page per
+  // bank. 64 Stampede images are 4 nodes of 16; the images checked are
+  // the non-leaders, which only receive broadcasts and results.
+  //
+  // Counted are the staging pages that became resident after the segment
+  // was allocated (mincore before init and after the collectives): a
+  // segment carved from reused malloc memory is cleared by calloc, and so
+  // resident from the start. Segments of 40 MiB, above glibc's largest
+  // mmap threshold, keep all but the first few fresh zero mappings.
+  constexpr int kImages = 64;
+  constexpr std::size_t kHeap = std::size_t{40} << 20;
+  Harness h(Stack::kShmemMvapich, kImages,
+            coll_opts(CollAlgo::kAuto, CollAlgo::kAuto), kHeap);
+  std::vector<std::size_t> touched(kImages, 0);
+  int node_size = 0;
+  h.run(
+      [&] {
+        auto& rt = h.rt();
+        const int me0 = rt.conduit().rank();
+        const std::byte* seg = rt.conduit().segment(me0);
+        const std::vector<unsigned char> before = residency(seg, kHeap);
+        rt.init();
+        for (int i = 0; i < 2 * caf::CollectiveEngine::kBcBanks; ++i) {
+          std::int64_t v = me0 + i;
+          rt.co_sum(&v, 1);
+          EXPECT_EQ(v, kImages * (kImages - 1) / 2 + kImages * i);
+          std::int64_t b = me0 == 0 ? 1000 + i : -1;
+          rt.co_broadcast(&b, 1, 1);
+          EXPECT_EQ(b, 1000 + i);
+        }
+        rt.sync_all();
+        const std::vector<unsigned char> after = residency(seg, kHeap);
+        const caf::CollectiveEngine& eng = *rt.coll_engine();
+        node_size = eng.node_size();
+        const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+        const auto base = reinterpret_cast<std::uintptr_t>(seg) & ~(page - 1);
+        const auto at = [&](std::uint64_t off) {
+          return (reinterpret_cast<std::uintptr_t>(seg + off) - base) / page;
+        };
+        const std::uint64_t off = eng.staging_offset();
+        for (std::size_t p = at(off); p <= at(off + eng.staging_bytes() - 1);
+             ++p) {
+          if ((after[p] & 1) != 0 && (before[p] & 1) == 0) {
+            ++touched[static_cast<std::size_t>(me0)];
+          }
+        }
+      },
+      /*auto_init=*/false);
+  ASSERT_EQ(node_size, 16);
+  std::size_t most = 0;
+  for (int r = 0; r < kImages; ++r) {
+    if (r % node_size == 0) continue;  // node leaders gather
+    EXPECT_LE(touched[static_cast<std::size_t>(r)], 2u) << "image " << r + 1;
+    most = std::max(most, touched[static_cast<std::size_t>(r)]);
+  }
+  // Every image waits on its staging cells, so some fresh segment must show
+  // a new page; none means the measurement saw nothing.
+  EXPECT_GT(most, 0u);
 }

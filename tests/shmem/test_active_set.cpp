@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "net/profiles.hpp"
 #include "shmem/world.hpp"
@@ -57,6 +58,40 @@ TEST(ActiveSet, SubsetBarrierDoesNotBlockOutsiders) {
     h.world.barrier_all();
     h.world.shfree(pSync);
   });
+}
+
+TEST(ActiveSet, BarrierPutsRideTheirOwnPairStream) {
+  // PE 0's round-0 peer is PE 1 in barrier_all and PE 2 in the evens
+  // barrier. The barrier caches each round's fabric pair id; reusing PE
+  // 1's for PE 2 would queue the flag behind the 1 MiB put still in flight
+  // to PE 1, and PE 2 would leave the barrier only after it landed.
+  constexpr std::size_t kBig = std::size_t{1} << 20;
+  Harness h(8);
+  sim::Time landed = 0;
+  sim::Time left = 0;
+  h.run([&] {
+    auto* pSync = static_cast<std::int64_t*>(
+        h.world.shmalloc(kSyncSize * sizeof(std::int64_t)));
+    auto* buf = static_cast<std::int64_t*>(h.world.shmalloc(kBig));
+    const int me = h.world.my_pe();
+    h.world.barrier_all();
+    if (me == 0) {
+      const std::vector<std::int64_t> src(kBig / sizeof(std::int64_t), 7);
+      h.world.putmem_nbi(buf, src.data(), kBig, 1);
+    }
+    if (me == 1) {
+      h.world.wait_until(buf + kBig / sizeof(std::int64_t) - 1, Cmp::kNe, 0);
+      landed = h.engine.now();
+    }
+    if (me % 2 == 0) {
+      h.world.barrier(ActiveSet{0, 1, 4}, pSync);  // PEs 0, 2, 4, 6
+      if (me == 2) left = h.engine.now();
+    }
+    h.world.barrier_all();
+    h.world.shfree(buf);
+    h.world.shfree(pSync);
+  });
+  EXPECT_LT(left, landed);
 }
 
 TEST(ActiveSet, StridedSubsetBroadcast) {
