@@ -29,16 +29,27 @@ ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 
-echo "=== Bench smoke: RMA pipeline ==="
-# Exercise the put-bandwidth harness (including the CAF aggregation panels)
-# and the pipeline ablation, and publish the ablation series as a CI
-# artifact. The DES clock makes the numbers deterministic, so the JSON
-# doubles as a regression record; fresh output lands in
-# build-release/artifacts and is diffed against the checked-in
-# bench/baselines/BENCH_*.json by bench_diff.py.
 ART=build-release/artifacts
 mkdir -p "$ART"
-./build-release/bench/fig3_put_bandwidth > /dev/null
+
+echo "=== Paper figures: stdout byte-identical to the baselines ==="
+# The figure harnesses print only virtual-time results, so their stdout is
+# the same on every run and every host. Any moved number fails the diff;
+# a deliberate change re-blesses bench/baselines/fig*.txt with its reason.
+for fig in 2:fig2_put_latency 3:fig3_put_bandwidth 6:fig6_xc30_caf \
+           7:fig7_stampede_caf 8:fig8_locks 9:fig9_dht 10:fig10_himeno; do
+  out="$ART/fig${fig%%:*}.txt"
+  "./build-release/bench/${fig#*:}" > "$out"
+  diff -u "bench/baselines/fig${fig%%:*}.txt" "$out"
+done
+echo "figure stdout ok: fig2/3/6/7/8/9/10 match bench/baselines"
+
+echo "=== Bench smoke: RMA pipeline ==="
+# Exercise the pipeline ablation and publish its series as a CI artifact.
+# The DES clock makes the numbers deterministic, so the JSON doubles as a
+# regression record; fresh output lands in build-release/artifacts and is
+# diffed against the checked-in bench/baselines/BENCH_*.json by
+# bench_diff.py.
 ./build-release/bench/ablate_agg --json "$ART/BENCH_rma.json"
 python3 - <<EOF
 import json

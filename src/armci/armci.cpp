@@ -17,13 +17,11 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
   const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
   alloc_bump_ = base;
   allocator_ = std::make_unique<shmem::FreeListAllocator>(base,
                                                           seg_bytes - base);
   alloc_cursor_.assign(domain_->npes(), 0);
-  watchers_.resize(domain_->npes());
   barrier_gen_.assign(domain_->npes(), 0);
   mutex_created_.assign(domain_->npes(), 0);
 }
@@ -209,55 +207,13 @@ void World::unlock(int mutex, int proc) {
   (void)rmw_fetch_add(proc, off, 1);
 }
 
-void World::wait_local_ge(std::uint64_t off, std::int64_t value) {
-  wait_until_local(off, [value](std::int64_t v) { return v >= value; });
-}
-
-void World::wait_until_local(std::uint64_t off,
-                             const std::function<bool(std::int64_t)>& pred) {
-  const int r = me();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, domain_->segment(r) + off, sizeof v);
-    return v;
-  };
-  while (!pred(load())) {
-    watchers_[r].push_back({off, engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("armci_wait_until");
-    engine_.block();
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : wake) engine_.resume(*f, ev.time);
-}
-
 void World::barrier() {
   const int r = me();
   const int n = nproc();
   if (n == 1) return;
   domain_->quiet();
-  const std::int64_t gen = ++barrier_gen_[r];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (r + dist) % n;
-    const std::uint64_t off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    domain_->put(peer, off, &gen, sizeof gen, /*pipelined=*/true);
-    wait_local_ge(off, gen);
-  }
+  domain_->barrier(r, {0, 0, n}, barrier_flags_off_, ++barrier_gen_[r],
+                   domain_->put_flags(/*pipelined=*/true), "armci_wait_until");
 }
 
 }  // namespace armci

@@ -102,19 +102,14 @@ class World {
   // ---- barrier (ARMCI relies on the host runtime; provided for tests) ----
   void barrier();
 
-  /// Blocks until the int64 at `off` in the local segment satisfies `pred`
-  /// (woken by remote deliveries; used by layered runtimes).
-  void wait_until_local(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred);
+  /// Blocks until the int64 at `off` in the local segment satisfies
+  /// `cmp value` (woken by remote deliveries; used by layered runtimes).
+  void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
+                        std::int64_t value) {
+    domain_->wait_until(me(), off, cmp, value, "armci_wait_until");
+  }
 
  private:
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
-  void wait_local_ge(std::uint64_t off, std::int64_t value);
-  void on_write(const fabric::WriteEvent& ev);
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
 
@@ -130,17 +125,15 @@ class World {
   std::vector<std::size_t> alloc_cursor_;
   std::unique_ptr<shmem::FreeListAllocator> allocator_;
 
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
   std::uint64_t barrier_flags_off_ = 0;
   std::uint64_t mutex_off_ = 0;  // packed ticket words, one per mutex
   int mutexes_ = 0;
   std::vector<char> mutex_created_;  // per-process: collective-call guard
-  static constexpr int kMaxRounds = 16;
 
  public:
   static constexpr std::size_t reserved_bytes() {
-    return kMaxRounds * sizeof(std::int64_t);
+    return fabric::Domain::kMaxRounds * sizeof(std::int64_t);
   }
 };
 

@@ -34,18 +34,4 @@ std::int64_t ArmciConduit::do_amo_cswap(int rank, std::uint64_t off,
   });
 }
 
-void ArmciConduit::wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) {
-  world_.wait_until_local(off, [cmp, value](std::int64_t v) {
-    switch (cmp) {
-      case Cmp::kEq: return v == value;
-      case Cmp::kNe: return v != value;
-      case Cmp::kGt: return v > value;
-      case Cmp::kGe: return v >= value;
-      case Cmp::kLt: return v < value;
-      case Cmp::kLe: return v <= value;
-    }
-    return false;
-  });
-}
-
 }  // namespace caf

@@ -76,7 +76,9 @@ class ArmciConduit final : public Conduit {
     return emulated_rmw(rank, off, [m](std::int64_t v) { return v ^ m; });
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override;
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
+    world_.wait_until_local(off, cmp, value);
+  }
   void do_barrier() override { world_.barrier(); }
 
   bool direct_reachable(int target) override {

@@ -33,11 +33,11 @@
 #include "fabric/domain.hpp"  // fabric::ScatterRec
 #include "net/model.hpp"
 #include "obs/obs.hpp"
-#include "shmem/world.hpp"  // for shmem::Cmp / ReduceOp enums reused here
+#include "shmem/world.hpp"  // for the shmem::ReduceOp enum reused here
 
 namespace caf {
 
-using Cmp = shmem::Cmp;
+using Cmp = fabric::Cmp;
 using ReduceOp = shmem::ReduceOp;
 
 class Conduit {
@@ -90,7 +90,7 @@ class Conduit {
   virtual void post_init() {}
 
   /// Scheduler-context store into `rank`'s segment at virtual time `t`,
-  /// firing the conduit's write hooks so blocked waiters wake. Used by the
+  /// waking any waiter whose flag word it overlaps. Used by the
   /// runtime's failure handler (and AM handlers) which mutate target memory
   /// from the event loop rather than through a fiber's NIC path.
   virtual void poke(int rank, std::uint64_t off, const void* src,

@@ -21,7 +21,7 @@ GasnetConduit::GasnetConduit(gasnet::World& world)
 
   // The AMO-emulation handler: runs on the target CPU, performs the RMW on
   // the target's segment at the handler's virtual time, replies with the
-  // fetched value. poke() fires the write hook so spinning waiters wake.
+  // fetched value. poke() wakes a waiter on the updated word.
   amo_handler_ = world_.register_handler(
       [this](const gasnet::Token& tok, std::span<const std::byte> payload,
              std::uint64_t off, std::uint64_t packed_kind) -> std::uint64_t {
@@ -130,21 +130,6 @@ void GasnetConduit::do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
                              elem_bytes,
                elem_bytes);
   }
-}
-
-void GasnetConduit::wait_until(std::uint64_t off, Cmp cmp,
-                               std::int64_t value) {
-  world_.block_until(off, [cmp, value](std::int64_t v) {
-    switch (cmp) {
-      case Cmp::kEq: return v == value;
-      case Cmp::kNe: return v != value;
-      case Cmp::kGt: return v > value;
-      case Cmp::kGe: return v >= value;
-      case Cmp::kLt: return v < value;
-      case Cmp::kLe: return v <= value;
-    }
-    return false;
-  });
 }
 
 }  // namespace caf

@@ -62,7 +62,9 @@ class GasnetConduit final : public Conduit {
     return am_amo(kXor, rank, off, m, 0);
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override;
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
+    world_.block_until(off, cmp, value);
+  }
   void do_barrier() override { world_.barrier(); }
 
   bool direct_reachable(int target) override {

@@ -72,17 +72,7 @@ class Mpi3Conduit final : public Conduit {
   }
 
   void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    win_.wait_until_local(off, [cmp, value](std::int64_t v) {
-      switch (cmp) {
-        case Cmp::kEq: return v == value;
-        case Cmp::kNe: return v != value;
-        case Cmp::kGt: return v > value;
-        case Cmp::kGe: return v >= value;
-        case Cmp::kLt: return v < value;
-        case Cmp::kLe: return v <= value;
-      }
-      return false;
-    });
+    win_.wait_until_local(off, cmp, value);
   }
   void do_barrier() override { win_.barrier(); }
 

@@ -147,23 +147,6 @@ void Runtime::sync_all() {
   conduit_.barrier();
 }
 
-namespace {
-
-bool cmp_i64(std::int64_t v, Cmp cmp, std::int64_t ref) {
-  switch (cmp) {
-    case Cmp::kEq: return v == ref;
-    case Cmp::kNe: return v != ref;
-    case Cmp::kGt: return v > ref;
-    case Cmp::kGe: return v >= ref;
-    case Cmp::kLt: return v < ref;
-    case Cmp::kLe: return v <= ref;
-  }
-  return false;
-}
-
-}  // namespace
-
-
 std::int64_t Runtime::read_local_i64(std::uint64_t off) {
   std::int64_t v = 0;
   std::memcpy(&v, local_addr(off), sizeof v);
@@ -184,7 +167,7 @@ bool Runtime::wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value) {
       write_local_i64(off, raw - kFailedSentinel);
       return true;
     }
-    if (cmp_i64(raw, cmp, value)) return false;
+    if (fabric::compare(raw, cmp, value)) return false;
     // Register, block, unregister. The cell is registered before any yield
     // (the park guard's drain may advance the fiber clock), so a kill either
     // pokes the registered cell or is re-observed by the raw read above on

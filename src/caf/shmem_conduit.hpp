@@ -228,7 +228,7 @@ class ShmemConduit final : public Conduit {
   }
 
   /// Same-node put through shmem_ptr: advance the clock by the copy cost,
-  /// then store directly (poke fires the write hook so waiters wake).
+  /// then store directly (poke wakes the waiters).
   bool direct_store(int rank, std::uint64_t dst_off, const void* src,
                     std::size_t n) {
     if (world_.ptr(local_addr(dst_off), rank) == nullptr) return false;

@@ -28,12 +28,9 @@ Runtime::Runtime(sim::Engine& engine, net::Fabric& fabric,
   allocator_ =
       shmem::FreeListAllocator(internal_bytes_, heap_bytes - internal_bytes_);
   alloc_cursor_.assign(ctx_->npes(), 0);
-  watchers_.resize(ctx_->npes());
   barrier_gen_.assign(ctx_->npes(), 0);
   coll_gen_.assign(ctx_->npes(), 0);
   held_tickets_.resize(static_cast<std::size_t>(ctx_->npes()));
-  ctx_->domain().set_write_hook(
-      [this](const fabric::WriteEvent& ev) { on_write(ev); });
 }
 
 Runtime::~Runtime() = default;
@@ -123,49 +120,14 @@ void Runtime::put_strided_1d(int image, std::uint64_t dst_off,
   ctx_->gsync_wait();
 }
 
-void Runtime::wait_local_ge(std::uint64_t off, std::int64_t value) {
-  const int r = me();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, ctx_->domain().segment(r) + off, sizeof v);
-    return v;
-  };
-  while (load() < value) {
-    watchers_[r].push_back({off, engine_.current_fiber()});
-    engine_.block();
-  }
-}
-
-void Runtime::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : wake) engine_.resume(*f, ev.time);
-}
-
 void Runtime::sync_all() {
   ctx_->gsync_wait();
   const int r = me();
   const int n = ctx_->npes();
   if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[r];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (r + dist) % n;
-    const std::uint64_t off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    ctx_->put_nbi(peer, off, &gen, sizeof gen);
-    wait_local_ge(off, gen);
-  }
+  fabric::Domain& d = ctx_->domain();
+  d.barrier(r, {0, 0, n}, barrier_flags_off_, ++barrier_gen_[r],
+            d.put_flags(/*pipelined=*/true), "craycaf_wait_until");
 }
 
 int Runtime::image_status(int image) {

@@ -107,18 +107,15 @@ class Runtime {
   void co_sum_f64(double* data, std::size_t nelems);
 
  private:
-  void wait_local_ge(std::uint64_t off, std::int64_t value);
-  void on_write(const fabric::WriteEvent& ev);
+  void wait_local_ge(std::uint64_t off, std::int64_t value) {
+    ctx_->domain().wait_until(me(), off, fabric::Cmp::kGe, value,
+                              "craycaf_wait_until");
+  }
   int me() const;
   /// Shared acquire path: returns kStatOk / kStatFailedImage; *reclaimed
   /// set when this waiter's CAS bumped now_serving past a dead owner.
   int ticket_lock(CoLock lck, int image, bool* reclaimed);
   int ticket_unlock(CoLock lck, int image);
-
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::dmapp::Context> ctx_;
@@ -130,7 +127,6 @@ class Runtime {
   };
   std::vector<AllocOp> alloc_log_;
   std::vector<std::size_t> alloc_cursor_;
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
   std::vector<std::int64_t> coll_gen_;
   /// Kills armed for this run (checked at launch): locks carry the owner
@@ -142,7 +138,7 @@ class Runtime {
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> held_tickets_;
 
   // Internal layout at the base of every segment.
-  static constexpr int kMaxRounds = 16;
+  static constexpr int kMaxRounds = fabric::Domain::kMaxRounds;
   static constexpr std::size_t kSlotBytes = 8192;
   std::uint64_t barrier_flags_off_ = 0;
   std::uint64_t coll_flags_off_ = 0;

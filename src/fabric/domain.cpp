@@ -249,7 +249,7 @@ void Domain::apply(const PendingMsg& m) {
     case PendingMsg::Op::kContig:
       assert(m.dst_off + m.payload_bytes <= segment_bytes_);
       std::memcpy(seg + m.dst_off, m.buf, m.payload_bytes);
-      if (write_hook_) write_hook_({m.dst_pe, m.dst_off, m.payload_bytes, m.t});
+      wake(m.dst_pe, m.dst_off, m.payload_bytes, m.t);
       break;
     case PendingMsg::Op::kScatter: {
       const auto* recs = reinterpret_cast<const ScatterRec*>(m.buf);
@@ -257,7 +257,7 @@ void Domain::apply(const PendingMsg& m) {
       for (std::uint32_t i = 0; i < m.nelems; ++i) {
         const ScatterRec& r = recs[i];
         std::memcpy(seg + r.dst_off, payload + r.payload_off, r.len);
-        if (write_hook_) write_hook_({m.dst_pe, r.dst_off, r.len, m.t});
+        wake(m.dst_pe, r.dst_off, r.len, m.t);
       }
       break;
     }
@@ -268,7 +268,7 @@ void Domain::apply(const PendingMsg& m) {
             i * static_cast<std::uint64_t>(m.dst_stride) * m.elem_bytes;
         std::memcpy(seg + off, m.buf + std::size_t{i} * m.elem_bytes,
                     m.elem_bytes);
-        if (write_hook_) write_hook_({m.dst_pe, off, m.elem_bytes, m.t});
+        wake(m.dst_pe, off, m.elem_bytes, m.t);
       }
       break;
   }
@@ -278,7 +278,7 @@ void Domain::poke(int dst_pe, std::uint64_t dst_off, const void* src,
                   std::size_t n, sim::Time t) {
   assert(dst_off + n <= segment_bytes_);
   std::memcpy(segments_[dst_pe].data() + dst_off, src, n);
-  if (write_hook_) write_hook_({dst_pe, dst_off, n, t});
+  wake(dst_pe, dst_off, n, t);
 }
 
 void Domain::enqueue(int me, PendingMsg* m, net::PutCompletion& c,
@@ -553,7 +553,7 @@ void Domain::round_trip_exec(void* ctx, std::uint64_t rec, std::uint64_t) {
   }
   if (store) {
     std::memcpy(src, &neu, sizeof neu);
-    if (d->write_hook_) d->write_hook_({r.pe, r.off, sizeof neu, r.exec});
+    d->wake(r.pe, r.off, sizeof neu, r.exec);
   }
 }
 
@@ -630,6 +630,98 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
 void Domain::quiet() {
   const int me = current_pe();
   engine_.advance_to(outstanding_[me]);
+}
+
+// ---------------------------------------------------------------------------
+// Parked flag waits and the dissemination barrier
+// ---------------------------------------------------------------------------
+
+Domain::Wait& Domain::start_wait(int me, const char* op) {
+  if (waits_.empty()) waits_.resize(static_cast<std::size_t>(npes()));
+  Wait& w = waits_[static_cast<std::size_t>(me)];
+  w.restart();
+  w.op = op;
+  return w;
+}
+
+void Domain::wait_until(int me, std::uint64_t off, Cmp cmp,
+                        std::int64_t value, const char* op) {
+  Wait& w = start_wait(me, op);
+  w.off = off;
+  w.cmp = cmp;
+  w.value = value;
+  w.test_due = true;
+  park(me);
+}
+
+void Domain::barrier(int me, const ActiveSet& as, std::uint64_t flags_off,
+                     std::int64_t gen, FlagSend send, const char* op) {
+  assert(as.pe_size > 1 && as.pe_size <= (1 << kMaxRounds));
+  Wait& w = start_wait(me, op);
+  w.as = as;
+  w.rel = as.rel_of(me);
+  w.flags_off = flags_off;
+  w.value = gen;
+  w.send = send;
+  park(me);
+}
+
+void Domain::park(int me) {
+  Wait& w = waits_[static_cast<std::size_t>(me)];
+  w.fiber = engine_.current_fiber();
+  engine_.park(&Domain::wait_gate, this, static_cast<std::uint64_t>(me));
+  if (w.failed_peer >= 0) {
+    throw PeerFailedError(w.send.op, me, w.failed_peer, w.failed_attempts,
+                          w.failed_at);
+  }
+}
+
+bool Domain::wait_gate(void* ctx, std::uint64_t pe) {
+  return static_cast<Domain*>(ctx)->step(static_cast<int>(pe));
+}
+
+// Each send, flag test and watcher registration happens in the same event,
+// at the same clock, as it would if the fiber ran the rounds itself with a
+// blocking send and a blocking wait: a send whose local completion lies
+// ahead takes a turn there (resume, as advance_to would), and a failing
+// flag test arms the watcher (as block would). Only the switch-ins in
+// between are gone.
+bool Domain::step(int me) {
+  Wait& w = waits_[static_cast<std::size_t>(me)];
+  sim::Fiber& f = *w.fiber;
+  for (;;) {
+    if (w.failed_peer >= 0) return true;
+    if (w.test_due) {
+      std::int64_t v = 0;
+      std::memcpy(&v, segments_[me].data() + w.off, sizeof v);
+      if (!compare(v, w.cmp, w.value)) {
+        w.watching = true;
+        f.set_block_op(w.op);
+        return false;
+      }
+      if (w.dist >= w.as.pe_size) return true;
+    }
+    const int peer = w.as.world_pe((w.rel + w.dist) % w.as.pe_size);
+    const int round = std::countr_zero(static_cast<unsigned>(w.dist));
+    w.off = w.flags_off +
+            sizeof(std::int64_t) * static_cast<std::uint64_t>(round);
+    w.dist <<= 1;
+    w.test_due = true;
+    Wait::RoundPair& rp = w.round_pairs[static_cast<std::size_t>(round)];
+    if (rp.peer != peer) rp = {peer, kNoPair};
+    const sim::Time now = f.clock();
+    const net::PutCompletion c =
+        w.send.fn(w.send.ctx, me, now, peer, w.off, w.value, &rp.id);
+    if (!c.ok) {
+      w.failed_peer = peer;
+      w.failed_attempts = c.attempts;
+      w.failed_at = c.delivered;
+    }
+    if (c.local_complete > now) {
+      engine_.resume(f, c.local_complete);
+      return false;
+    }
+  }
 }
 
 }  // namespace fabric

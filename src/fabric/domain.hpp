@@ -15,17 +15,21 @@
 //   * quiet      — block until every remote completion this PE issued has
 //                  landed.
 //
-// A write hook fires on every remote update of a PE's segment so higher
-// layers can implement shmem_wait_until without polling.
+// On that core sits the one synchronisation layer every runtime shares
+// (DESIGN.md §6): a parked flag wait (wait_until) and a dissemination barrier
+// whose round flags go out through a runtime-supplied FlagSend (a put, an
+// nbi put, or a GASNet active message). Every delivery — put, scatter and
+// strided records, AMO, poke — wakes the waiter whose flag word it overlaps
+// by a direct call; there is no write hook.
 //
 // The vendor-style APIs (fabric::verbs, fabric::dmapp), the OpenSHMEM
 // transports, and the MPI-3 RMA subset are all thin veneers over Domain with
 // different profiles and capability surfaces.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -139,12 +143,53 @@ class BufPool {
   std::vector<std::byte*> all_;
 };
 
-/// Notification of a remote update to a PE's segment.
-struct WriteEvent {
-  int pe;                 ///< segment owner
-  std::uint64_t offset;   ///< first byte updated
-  std::size_t len;        ///< bytes updated
-  sim::Time time;         ///< virtual delivery time
+/// Comparison operators for flag waits (shmem_wait_until's set).
+enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
+
+/// True when `v cmp ref` holds.
+inline bool compare(std::int64_t v, Cmp cmp, std::int64_t ref) {
+  switch (cmp) {
+    case Cmp::kEq: return v == ref;
+    case Cmp::kNe: return v != ref;
+    case Cmp::kGt: return v > ref;
+    case Cmp::kGe: return v >= ref;
+    case Cmp::kLt: return v < ref;
+    case Cmp::kLe: return v <= ref;
+  }
+  return false;
+}
+
+/// An OpenSHMEM active set: the PEs PE_start + k*2^logPE_stride for
+/// k in [0, PE_size). The classic triplet addressing of the 1.x
+/// collectives, and the member set of Domain::barrier.
+struct ActiveSet {
+  int pe_start = 0;
+  int log_pe_stride = 0;
+  int pe_size = 1;
+
+  int stride() const { return 1 << log_pe_stride; }
+  int world_pe(int rel) const { return pe_start + rel * stride(); }
+  /// Relative rank of a world PE in this set, or -1 if not a member.
+  int rel_of(int pe) const {
+    const int d = pe - pe_start;
+    if (d < 0 || d % stride() != 0) return -1;
+    const int rel = d / stride();
+    return rel < pe_size ? rel : -1;
+  }
+};
+
+/// How a barrier round's flag reaches its peer: `fn(ctx, me, now, peer,
+/// off, gen, pair)` sends `gen` from PE `me` at its clock `now` to the
+/// int64 at `off` in `peer`'s segment. Same contract as Domain::put_at: it
+/// prices and queues the send but neither advances a clock nor throws, and
+/// a send the transport gave up on comes back with `ok` false; `pair` is
+/// put_at's pair-id cache for the round.
+struct FlagSend {
+  net::PutCompletion (*fn)(void* ctx, int me, sim::Time now, int peer,
+                           std::uint64_t off, std::int64_t gen,
+                           std::uint32_t* pair);
+  void* ctx;
+  const char* op;  ///< PeerFailedError's op when a send fails
 };
 
 class Domain {
@@ -167,11 +212,6 @@ class Domain {
   /// and for the delivery machinery).
   std::byte* segment(int pe);
   const std::byte* segment(int pe) const;
-
-  /// Registers the hook invoked at every remote write/AMO delivery.
-  void set_write_hook(std::function<void(const WriteEvent&)> hook) {
-    write_hook_ = std::move(hook);
-  }
 
   /// Enables the node-local shared-segment transport: same-node puts, gets,
   /// strided/scatter transfers, and AMOs complete via direct memory
@@ -216,9 +256,9 @@ class Domain {
   static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
 
   /// Writes `n` bytes into `dst_pe`'s segment immediately (at the current
-  /// scheduler event's virtual time `t`) and fires the write hook. Used by
-  /// active-message handlers, which mutate target memory from the scheduler
-  /// context rather than through the NIC.
+  /// scheduler event's virtual time `t`) and wakes an overlapping waiter.
+  /// Used by active-message handlers, which mutate target memory from the
+  /// scheduler context rather than through the NIC.
   void poke(int dst_pe, std::uint64_t dst_off, const void* src, std::size_t n,
             sim::Time t);
 
@@ -227,7 +267,7 @@ class Domain {
 
   /// Vectored (write-combining) put: a single wire message carrying a packed
   /// payload plus kScatterRecWire bytes of header per record; each record is
-  /// applied (memcpy + write hook) at delivery. This is the transport for
+  /// applied (memcpy + wake) at delivery. This is the transport for
   /// iovec-style interfaces (ARMCI_PutV, MPI indexed datatypes, GASNet
   /// access regions) and the CAF runtime's aggregation buffer.
   net::PutCompletion put_scatter(int dst_pe, const ScatterRec* recs,
@@ -262,6 +302,33 @@ class Domain {
 
   /// Largest remote-completion timestamp outstanding for `pe`.
   sim::Time outstanding(int pe) const { return outstanding_[pe]; }
+
+  // ---- flag waits and barriers (DESIGN.md §6), on PE `me`'s fiber ----
+
+  /// Rounds a barrier supports: up to 2^16 members.
+  static constexpr int kMaxRounds = 16;
+
+  /// Parks PE `me` until the int64 at `off` in its own segment satisfies
+  /// `cmp value`. Each delivery overlapping that word runs the test again on
+  /// the scheduler; the fiber is switched in only once it passes. A stall
+  /// report names `op` as the PE's blocking operation.
+  void wait_until(int me, std::uint64_t off, Cmp cmp, std::int64_t value,
+                  const char* op);
+
+  /// Dissemination barrier of PE `me` over the members of `as`: in round r
+  /// it sends `gen` to rank + 2^r through `send`, then waits until round
+  /// r's flag, at flags_off + 8r, holds `gen` or later (it is tagged `op`
+  /// meanwhile). Flag values are monotone generations, so the slots are
+  /// reused without sense reversal. Runs parked like wait_until; a send the
+  /// transport gave up on throws PeerFailedError(send.op, ...) at its local
+  /// completion. The set has at least two members.
+  void barrier(int me, const ActiveSet& as, std::uint64_t flags_off,
+               std::int64_t gen, FlagSend send, const char* op);
+
+  /// The FlagSend that puts the flag with put_at (`pipelined` as in put).
+  FlagSend put_flags(bool pipelined) {
+    return {pipelined ? &put_flag<true> : &put_flag<false>, this, "put"};
+  }
 
  private:
   int current_pe() const;
@@ -460,7 +527,74 @@ class Domain {
   std::vector<PendingMsg*> head_;     ///< oldest queued message (FIFO)
   std::vector<PendingMsg*> tail_;
 
-  std::function<void(const WriteEvent&)> write_hook_;
+  // ---- parked waits ----
+
+  /// What a PE parked in a barrier or wait_until still has to do: the
+  /// dissemination rounds left (none for a plain wait), each a flag send
+  /// and then a flag test. Kept per PE, not in the parked fiber's frame:
+  /// the gate of every parked PE reads it, and dense state stays in cache
+  /// where 16k fiber stacks do not. A PE runs one fiber, so it has at most
+  /// one wait at a time, and its watcher is this record's flag word.
+  struct Wait {
+    sim::Fiber* fiber = nullptr;
+    std::uint64_t off = 0;       ///< flag under test
+    bool watching = false;       ///< a delivery overlapping `off` wakes fiber
+    bool test_due = false;       ///< the flag test comes before the next round
+    Cmp cmp = Cmp::kGe;
+    std::int64_t value = 0;      ///< tested against; also what rounds send
+    const char* op = nullptr;    ///< block-op tag while the test fails
+    ActiveSet as;                ///< barrier members (pe_size 1: no rounds)
+    int rel = 0;                 ///< the PE's rank in `as`
+    int dist = 1;                ///< next round's distance; done at >= pe_size
+    std::uint64_t flags_off = 0; ///< round r's flag lies at flags_off + 8r
+    FlagSend send{};
+    int failed_peer = -1;        ///< a round's send the transport gave up on
+    int failed_attempts = 0;
+    sim::Time failed_at = 0;     ///< that send's give-up time
+    /// The pair id of each round's send, kept across waits (see restart):
+    /// a round's peer is fixed for a given PE and member set, so the pair
+    /// lookup runs once per peer, not once per send.
+    struct RoundPair {
+      int peer = -1;
+      std::uint32_t id = kNoPair;
+    };
+    std::array<RoundPair, kMaxRounds> round_pairs{};
+
+    /// Starts a new wait: every field back to its default but round_pairs.
+    void restart() {
+      const std::array<RoundPair, kMaxRounds> keep = round_pairs;
+      *this = Wait{};
+      round_pairs = keep;
+    }
+  };
+
+  /// PE `me`'s wait record, ready for a new wait.
+  Wait& start_wait(int me, const char* op);
+  /// Parks the calling PE until its wait is done, via sim::Engine::park
+  /// with wait_gate, then throws PeerFailedError if a round's send failed.
+  void park(int me);
+  static bool wait_gate(void* ctx, std::uint64_t pe);
+  /// Runs PE `me`'s wait as far as it can go now; true once it is done.
+  bool step(int me);
+  /// Called at every delivery into `pe`'s segment: resumes its waiter, at
+  /// `t`, when [off, off + len) overlaps the watched word.
+  void wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {
+    if (waits_.empty()) return;
+    Wait& w = waits_[static_cast<std::size_t>(pe)];
+    if (w.watching && w.off < off + len && off < w.off + sizeof(std::int64_t)) {
+      w.watching = false;
+      engine_.resume(*w.fiber, t);
+    }
+  }
+  template <bool kPipelined>
+  static net::PutCompletion put_flag(void* domain, int me, sim::Time now,
+                                     int peer, std::uint64_t off,
+                                     std::int64_t gen, std::uint32_t* pair) {
+    return static_cast<Domain*>(domain)->put_at(me, now, peer, off, &gen,
+                                                sizeof gen, kPipelined, pair);
+  }
+
+  std::vector<Wait> waits_;  ///< per PE; sized at the first wait
 };
 
 }  // namespace fabric

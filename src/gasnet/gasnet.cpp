@@ -14,8 +14,6 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
-  watchers_.resize(domain_->npes());
   barrier_gen_.assign(domain_->npes(), 0);
   barrier_flags_off_ = 0;
   // GASNet barriers are AM-based in every conduit: the notify message runs
@@ -94,92 +92,68 @@ void World::am_complete(void* ctx, std::uint64_t rec, std::uint64_t) {
   w->engine_.resume(f, complete);
 }
 
-std::uint64_t World::send_am(bool reply, int node, int handler,
-                             std::uint64_t arg0, std::uint64_t arg1,
-                             const void* payload, std::size_t payload_bytes) {
+net::PutCompletion World::am_at(int me, sim::Time now, int node, int handler,
+                                std::uint64_t arg0, std::uint64_t arg1,
+                                const void* payload, std::size_t payload_bytes,
+                                sim::Fiber* fiber, std::uint64_t* result) {
   assert(handler >= 0 && handler < static_cast<int>(handlers_.size()));
-  const int me = mynode();
   const auto rt = domain_->fabric().submit_am(me, node, payload_bytes,
-                                              domain_->sw(), engine_.now());
-  if (!rt.ok) {
-    if (reply) {
-      engine_.advance_to(rt.complete);
-    } else {
-      engine_.advance(domain_->sw().put_overhead);
-    }
-    throw fabric::PeerFailedError(reply ? "am_reply" : "am", me, node,
-                                  rt.attempts, rt.complete);
-  }
-  std::uint64_t result = 0;
+                                              domain_->sw(), now);
+  // Request injection costs the sender one put overhead.
+  const sim::Time local = now + domain_->sw().put_overhead;
+  if (!rt.ok) return {local, rt.complete, false, rt.attempts};
   AmRecord* r = am_pool_.acquire();
-  *r = {.fiber = reply ? engine_.current_fiber() : nullptr, .result = &result,
-        .payload_bytes = payload_bytes, .arg0 = arg0, .arg1 = arg1,
-        .exec = rt.target_read, .complete = rt.complete, .handler = handler,
-        .src = me, .dst = node};
+  *r = {.fiber = fiber, .result = result, .payload_bytes = payload_bytes,
+        .arg0 = arg0, .arg1 = arg1, .exec = rt.target_read,
+        .complete = rt.complete, .handler = handler, .src = me, .dst = node};
   r->buf = am_bufs_.acquire(payload_bytes, &r->buf_cls);
   if (payload_bytes > 0) std::memcpy(r->buf, payload, payload_bytes);
   const auto rec = reinterpret_cast<std::uint64_t>(r);
   engine_.schedule_raw(rt.target_read, &am_exec, this, rec);
+  if (fiber != nullptr) {
+    engine_.schedule_raw(rt.complete, &am_complete, this, rec);
+  }
+  return {local, rt.target_read, true, rt.attempts};
+}
+
+std::uint64_t World::send_am(bool reply, int node, int handler,
+                             std::uint64_t arg0, std::uint64_t arg1,
+                             const void* payload, std::size_t payload_bytes) {
+  const int me = mynode();
+  std::uint64_t result = 0;
+  sim::Fiber* const waiter = reply ? engine_.current_fiber() : nullptr;
+  const net::PutCompletion c = am_at(me, engine_.now(), node, handler, arg0,
+                                     arg1, payload, payload_bytes, waiter,
+                                     &result);
+  if (!c.ok) {
+    // A request gives up after its injection, a reply wait at the give-up.
+    engine_.advance_to(reply ? c.delivered : c.local_complete);
+    throw fabric::PeerFailedError(reply ? "am_reply" : "am", me, node,
+                                  c.attempts, c.delivered);
+  }
   if (!reply) {
-    // Request injection costs the sender one put overhead.
-    engine_.advance(domain_->sw().put_overhead);
+    engine_.advance_to(c.local_complete);
     return 0;
   }
-  r->fiber->set_block_op("gasnet_am_reply", node);
-  engine_.schedule_raw(rt.complete, &am_complete, this, rec);
+  waiter->set_block_op("gasnet_am_reply", node);
   engine_.block();
   return result;
 }
 
-std::int64_t World::load_i64(int node, std::uint64_t off) const {
-  std::int64_t v = 0;
-  std::memcpy(&v, domain_->segment(node) + off, sizeof v);
-  return v;
-}
-
-void World::block_until(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred) {
-  const int me = mynode();
-  while (!pred(load_i64(me, off))) {
-    watchers_[me].push_back(
-        {off, sizeof(std::int64_t), engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("gasnet_block_until");
-    engine_.block();
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    const bool overlap =
-        it->off < ev.offset + ev.len && ev.offset < it->off + it->len;
-    if (overlap) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
+net::PutCompletion World::barrier_flag(void* world, int me, sim::Time now,
+                                       int peer, std::uint64_t off,
+                                       std::int64_t gen, std::uint32_t*) {
+  auto* w = static_cast<World*>(world);
+  return w->am_at(me, now, peer, w->barrier_handler_, off,
+                  static_cast<std::uint64_t>(gen), nullptr, 0);
 }
 
 void World::barrier() {
   const int me = mynode();
   const int n = nodes();
   if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[me];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (me + dist) % n;
-    const std::uint64_t flag_off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    am_request(peer, barrier_handler_, flag_off,
-               static_cast<std::uint64_t>(gen));
-    block_until(flag_off, [gen](std::int64_t v) { return v >= gen; });
-  }
+  domain_->barrier(me, {0, 0, n}, barrier_flags_off_, ++barrier_gen_[me],
+                   {&World::barrier_flag, this, "am"}, "gasnet_block_until");
 }
 
 }  // namespace gasnet

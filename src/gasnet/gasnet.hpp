@@ -102,23 +102,18 @@ class World {
     return send_am(true, node, handler, arg0, arg1, payload, payload_bytes);
   }
 
-  /// Barrier (gasnet_barrier_notify/wait rolled into one, dissemination
-  /// over nbi puts + local spinning).
+  /// Barrier (gasnet_barrier_notify/wait rolled into one): dissemination
+  /// whose round flags travel as AMs.
   void barrier();
 
   /// Blocks the calling fiber until the int64 at `off` in the local segment
-  /// satisfies `pred` (used by layered runtimes to spin on AM-written
+  /// satisfies `cmp value` (used by layered runtimes to spin on AM-written
   /// flags). Equivalent to GASNET_BLOCKUNTIL.
-  void block_until(std::uint64_t off,
-                   const std::function<bool(std::int64_t)>& pred);
+  void block_until(std::uint64_t off, fabric::Cmp cmp, std::int64_t value) {
+    domain_->wait_until(mynode(), off, cmp, value, "gasnet_block_until");
+  }
 
  private:
-  struct Watcher {
-    std::uint64_t off;
-    std::size_t len;
-    sim::Fiber* fiber;
-  };
-
   // One AM in flight, run like fabric::Domain's round trips (DESIGN.md §6):
   // exec runs the handler at the target even if the requester has been
   // killed; completion (replies only) then skips the copy to the requester.
@@ -142,27 +137,40 @@ class World {
   std::uint64_t send_am(bool reply, int node, int handler, std::uint64_t arg0,
                         std::uint64_t arg1, const void* payload,
                         std::size_t payload_bytes);
+  /// Injects an AM from node `me` at its clock `now` and queues its
+  /// handler run (and, when `fiber` awaits the reply in `*result`, the
+  /// reply), but neither advances the clock nor throws: Domain::put_at's
+  /// contract, so a request (`fiber` nullptr) can be sent from the
+  /// scheduler. `local_complete` is the end of the request's injection; an
+  /// AM the transport gave up on comes back with `ok` false, its attempts,
+  /// and the give-up time as `delivered`.
+  net::PutCompletion am_at(int me, sim::Time now, int node, int handler,
+                           std::uint64_t arg0, std::uint64_t arg1,
+                           const void* payload, std::size_t payload_bytes,
+                           sim::Fiber* fiber = nullptr,
+                           std::uint64_t* result = nullptr);
+  /// The barrier's FlagSend: the round flag travels as an AM whose handler
+  /// pokes it into the target's segment.
+  static net::PutCompletion barrier_flag(void* world, int me, sim::Time now,
+                                         int peer, std::uint64_t off,
+                                         std::int64_t gen, std::uint32_t*);
   static void am_exec(void* ctx, std::uint64_t rec, std::uint64_t);
   static void am_complete(void* ctx, std::uint64_t rec, std::uint64_t);
-  void on_write(const fabric::WriteEvent& ev);
-  std::int64_t load_i64(int node, std::uint64_t off) const;
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   std::vector<Handler> handlers_;
   fabric::SlabPool<AmRecord> am_pool_;
   fabric::BufPool am_bufs_;
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
-  std::uint64_t barrier_flags_off_ = 0;  // first kMaxRounds int64s of segment
+  std::uint64_t barrier_flags_off_ = 0;  // the segment's reserved prefix
   int barrier_handler_ = -1;
-  static constexpr int kMaxRounds = 16;
 
  public:
   /// Bytes of segment reserved for the conduit's own barrier flags;
   /// layered code must allocate at or beyond this offset.
   static constexpr std::size_t reserved_bytes() {
-    return kMaxRounds * sizeof(std::int64_t);
+    return fabric::Domain::kMaxRounds * sizeof(std::int64_t);
   }
 };
 

@@ -1,7 +1,6 @@
 #include "mpi3/rma.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 namespace mpi3 {
@@ -14,8 +13,6 @@ Window::Window(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              win_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
-  watchers_.resize(domain_->npes());
   barrier_gen_.assign(domain_->npes(), 0);
   const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
   allocator_ = std::make_unique<shmem::FreeListAllocator>(base,
@@ -137,54 +134,13 @@ void Window::free_collective(std::uint64_t off) {
   barrier();
 }
 
-void Window::wait_until_local(
-    std::uint64_t off, const std::function<bool(std::int64_t)>& pred) {
-  const int me = rank();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, domain_->segment(me) + off, sizeof v);
-    return v;
-  };
-  while (!pred(load())) {
-    watchers_[me].push_back({off, engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("mpi3_wait_until");
-    engine_.block();
-  }
-}
-
-void Window::block_until_ge(std::uint64_t off, std::int64_t gen) {
-  wait_until_local(off, [gen](std::int64_t v) { return v >= gen; });
-}
-
-void Window::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
-}
-
 void Window::barrier() {
   const int me = rank();
   const int n = size();
   if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[me];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < 16);
-    const int peer = (me + dist) % n;
-    const std::uint64_t off =
-        static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    put(&gen, sizeof gen, peer, off);
-    block_until_ge(off, gen);
-  }
+  // The round flags sit at the base of the reserved prefix.
+  domain_->barrier(me, {0, 0, n}, 0, ++barrier_gen_[me],
+                   domain_->put_flags(/*pipelined=*/false), "mpi3_wait_until");
 }
 
 }  // namespace mpi3

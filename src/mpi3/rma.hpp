@@ -73,28 +73,23 @@ class Window {
   /// same offset. Includes a barrier.
   std::uint64_t allocate_collective(std::size_t bytes);
   void free_collective(std::uint64_t off);
-  /// Blocks until the local int64 at `off` satisfies `pred` (an MPI_Win
-  /// passive-target progress wait; used by layered runtimes).
-  void wait_until_local(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred);
+  /// Blocks until the local int64 at `off` satisfies `cmp value` (an
+  /// MPI_Win passive-target progress wait; used by layered runtimes).
+  void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
+                        std::int64_t value) {
+    domain_->wait_until(rank(), off, cmp, value, "mpi3_wait_until");
+  }
   /// MPI_Barrier over COMM_WORLD (dissemination on flags in the window's
-  /// reserved prefix).
+  /// reserved prefix, each round's flag sent as a blocking MPI_Put).
   void barrier();
 
-  static constexpr std::size_t reserved_bytes() { return 16 * sizeof(std::int64_t); }
+  static constexpr std::size_t reserved_bytes() {
+    return fabric::Domain::kMaxRounds * sizeof(std::int64_t);
+  }
 
  private:
-  void block_until_ge(std::uint64_t off, std::int64_t gen);
-  void on_write(const fabric::WriteEvent& ev);
-
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
 
   // collective allocation replay (like the other worlds)

@@ -1,27 +1,10 @@
 #include "shmem/world.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace shmem {
-
-namespace {
-
-bool compare_i64(std::int64_t v, Cmp cmp, std::int64_t ref) {
-  switch (cmp) {
-    case Cmp::kEq: return v == ref;
-    case Cmp::kNe: return v != ref;
-    case Cmp::kGt: return v > ref;
-    case Cmp::kGe: return v >= ref;
-    case Cmp::kLt: return v < ref;
-    case Cmp::kLe: return v <= ref;
-  }
-  return false;
-}
-
-}  // namespace
 
 struct World::CollectiveState {
   std::int64_t barrier_gen = 0;
@@ -51,12 +34,9 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
 
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              heap_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
   allocator_ = std::make_unique<FreeListAllocator>(internal_bytes_,
                                                    heap_bytes - internal_bytes_);
   alloc_cursor_.assign(domain_->npes(), 0);
-  watchers_.resize(domain_->npes());
-  waits_.resize(domain_->npes());
   psync_gens_.resize(domain_->npes());
   coll_.reserve(domain_->npes());
   for (int i = 0; i < domain_->npes(); ++i) {
@@ -227,92 +207,9 @@ void World::fence() { domain_->fence(); }
 // Point-to-point synchronization
 // ---------------------------------------------------------------------------
 
-std::int64_t World::load_i64(int pe, std::uint64_t off) const {
-  std::int64_t v = 0;
-  std::memcpy(&v, domain_->segment(pe) + off, sizeof v);
-  return v;
-}
-
 void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value) {
-  const int me = my_pe();
-  Wait& w = waits_[me];
-  w.restart();
-  w.off = sym_off(ivar, "wait_until");
-  w.cmp = cmp;
-  w.value = value;
-  w.test_due = true;
-  park(me);
-}
-
-void World::park(int me) {
-  Wait& w = waits_[me];
-  w.fiber = engine_.current_fiber();
-  engine_.park(&World::wait_gate, this, static_cast<std::uint64_t>(me));
-  if (w.failed_peer >= 0) {
-    throw fabric::PeerFailedError("put", me, w.failed_peer, w.failed_attempts,
-                                  w.failed_at);
-  }
-}
-
-bool World::wait_gate(void* ctx, std::uint64_t pe) {
-  return static_cast<World*>(ctx)->step(static_cast<int>(pe));
-}
-
-// Each put, flag test and watcher registration happens in the same event,
-// at the same clock, as it did when the fiber itself ran the loop: a put
-// whose local completion lies ahead takes a turn there (resume, as
-// advance_to would), and a failing flag test registers a watcher (as
-// block would). Only the switch-ins in between are gone.
-bool World::step(int me) {
-  Wait& w = waits_[me];
-  sim::Fiber& f = *w.fiber;
-  for (;;) {
-    if (w.failed_peer >= 0) return true;
-    if (w.test_due) {
-      if (!compare_i64(load_i64(me, w.off), w.cmp, w.value)) {
-        watchers_[me].push_back({w.off, sizeof(std::int64_t), &f});
-        f.set_block_op("shmem_wait_until");
-        return false;
-      }
-      if (w.dist >= w.as.pe_size) return true;
-    }
-    const int peer = w.as.world_pe((w.rel + w.dist) % w.as.pe_size);
-    const int round = std::countr_zero(static_cast<unsigned>(w.dist));
-    w.off = w.flags_off +
-            sizeof(std::int64_t) * static_cast<std::uint64_t>(round);
-    w.dist <<= 1;
-    w.test_due = true;
-    Wait::RoundPair& rp = w.round_pairs[static_cast<std::size_t>(round)];
-    if (rp.peer != peer) rp = {peer, fabric::Domain::kNoPair};
-    const sim::Time now = f.clock();
-    const net::PutCompletion c =
-        domain_->put_at(me, now, peer, w.off, &w.value, sizeof w.value,
-                        /*pipelined=*/true, &rp.id);
-    if (!c.ok) {
-      w.failed_peer = peer;
-      w.failed_attempts = c.attempts;
-      w.failed_at = c.delivered;
-    }
-    if (c.local_complete > now) {
-      engine_.resume(f, c.local_complete);
-      return false;
-    }
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  // Wake every overlapping watcher, in registration order, compacting the
-  // rest in place.
-  auto& list = watchers_[ev.pe];
-  std::size_t kept = 0;
-  for (const Watcher& w : list) {
-    if (w.off < ev.offset + ev.len && ev.offset < w.off + w.len) {
-      engine_.resume(*w.fiber, ev.time);
-    } else {
-      list[kept++] = w;
-    }
-  }
-  list.resize(kept);
+  domain_->wait_until(my_pe(), sym_off(ivar, "wait_until"), cmp, value,
+                      "shmem_wait_until");
 }
 
 // ---------------------------------------------------------------------------
@@ -379,15 +276,8 @@ void World::barrier_all() {
 
 void World::dissemination(const ActiveSet& as, std::uint64_t flags_off,
                           std::int64_t gen) {
-  assert(as.pe_size <= (1 << kMaxRounds));
-  const int me = my_pe();
-  Wait& w = waits_[me];
-  w.restart();
-  w.as = as;
-  w.rel = as.rel_of(me);
-  w.flags_off = flags_off;
-  w.value = gen;
-  park(me);
+  domain_->barrier(my_pe(), as, flags_off, gen,
+                   domain_->put_flags(/*pipelined=*/true), "shmem_wait_until");
 }
 
 void World::broadcast(void* buf, std::size_t nbytes, int root) {

@@ -18,7 +18,6 @@
 // All methods must be called from a PE fiber (spawned via launch()).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -35,29 +34,13 @@
 namespace shmem {
 
 /// Comparison operators for shmem_wait_until.
-enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
+using Cmp = fabric::Cmp;
 
 /// Reduction operators for the to_all collectives.
 enum class ReduceOp { kSum, kProd, kMin, kMax, kAnd, kOr, kXor };
 
-/// An OpenSHMEM active set: the PEs PE_start + k*2^logPE_stride for
-/// k in [0, PE_size). The classic triplet addressing of the 1.x
-/// collectives.
-struct ActiveSet {
-  int pe_start = 0;
-  int log_pe_stride = 0;
-  int pe_size = 1;
-
-  int stride() const { return 1 << log_pe_stride; }
-  int world_pe(int rel) const { return pe_start + rel * stride(); }
-  /// Relative rank of a world PE in this set, or -1 if not a member.
-  int rel_of(int pe) const {
-    const int d = pe - pe_start;
-    if (d < 0 || d % stride() != 0) return -1;
-    const int rel = d / stride();
-    return rel < pe_size ? rel : -1;
-  }
-};
+/// An OpenSHMEM active set (PE_start, logPE_stride, PE_size).
+using ActiveSet = fabric::ActiveSet;
 
 /// Minimum pSync length (in int64 slots) our collectives require — one per
 /// dissemination/tree round plus one broadcast flag (covers 2^16 PEs).
@@ -217,63 +200,13 @@ class World {
   std::size_t heap_user_bytes() const;
 
  private:
-  static constexpr int kMaxRounds = 16;   // supports up to 65536 PEs
+  static constexpr int kMaxRounds = fabric::Domain::kMaxRounds;
   static constexpr std::size_t kReduceSlotBytes = 8192;
 
-  struct Watcher {
-    std::uint64_t off;
-    std::size_t len;
-    sim::Fiber* fiber;
-  };
   struct CollectiveState;  // per-PE internal offsets & generation counters
 
-  /// What a PE parked in a barrier or wait_until still has to do: the
-  /// dissemination rounds left (none for a plain wait), each a flag put
-  /// and then a flag test. Kept per PE, not in the parked fiber's frame:
-  /// the gate of every parked PE reads it, and dense state stays in cache
-  /// where 16k fiber stacks do not. A PE runs one fiber (launch), so it has
-  /// at most one wait at a time.
-  struct Wait {
-    sim::Fiber* fiber = nullptr;
-    ActiveSet as;                ///< barrier members (pe_size 1: no rounds)
-    int rel = 0;                 ///< the PE's rank in `as`
-    int dist = 1;                ///< next round's distance; done at >= pe_size
-    std::uint64_t flags_off = 0; ///< round r's flag lies at flags_off + 8r
-    std::uint64_t off = 0;       ///< flag under test
-    Cmp cmp = Cmp::kGe;
-    std::int64_t value = 0;      ///< tested against; also what rounds put
-    bool test_due = false;       ///< the flag test comes before the next round
-    int failed_peer = -1;        ///< a round's put the transport gave up on
-    int failed_attempts = 0;
-    sim::Time failed_at = 0;     ///< that put's give-up time
-    /// The fabric pair id of each round's put, kept across waits (see
-    /// restart): a round's peer is fixed for a given PE and active set, so
-    /// the Domain's pair lookup runs once per peer, not once per put.
-    struct RoundPair {
-      int peer = -1;
-      std::uint32_t id = fabric::Domain::kNoPair;
-    };
-    std::array<RoundPair, kMaxRounds> round_pairs{};
-
-    /// Starts a new wait: every field back to its default but round_pairs.
-    void restart() {
-      const std::array<RoundPair, kMaxRounds> keep = round_pairs;
-      *this = Wait{};
-      round_pairs = keep;
-    }
-  };
-
-  /// Parks the calling PE until its wait (set up in waits_) is done, via
-  /// sim::Engine::park with wait_gate, then throws PeerFailedError if a
-  /// round's put failed.
-  void park(int me);
-  static bool wait_gate(void* ctx, std::uint64_t pe);
-  /// Runs PE `me`'s wait as far as it can go now; true once it is done.
-  bool step(int me);
-  /// Dissemination barrier over `as`: in round r notify rank + 2^r and
-  /// wait for rank - 2^r, with round r's flag at flags_off + 8r. Flag
-  /// values are monotone generations, so slots are reusable without sense
-  /// reversal.
+  /// The Domain's dissemination barrier over `as`, its round flags put
+  /// pipelined at flags_off + 8r.
   void dissemination(const ActiveSet& as, std::uint64_t flags_off,
                      std::int64_t gen);
   std::uint64_t sym_off(const void* ptr, const char* what) const;
@@ -287,8 +220,6 @@ class World {
   /// Per-(PE, pSync) monotone generation counters for active-set flags.
   std::int64_t next_psync_gen(int pe, std::uint64_t psync_off);
   void validate_member(const ActiveSet& as, const char* what) const;
-  void on_write(const fabric::WriteEvent& ev);
-  std::int64_t load_i64(int pe, std::uint64_t off) const;
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
@@ -305,8 +236,6 @@ class World {
   std::vector<AllocOp> alloc_log_;
   std::vector<std::size_t> alloc_cursor_;  // per PE
 
-  std::vector<std::vector<Watcher>> watchers_;  // per PE
-  std::vector<Wait> waits_;                     // per PE
   std::vector<std::unique_ptr<CollectiveState>> coll_;
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> psync_gens_;
 

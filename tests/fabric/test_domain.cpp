@@ -156,22 +156,68 @@ TEST(Domain, AmoBitwiseOps) {
   EXPECT_EQ(final, 0b0001u);
 }
 
-TEST(Domain, WriteHookFiresOnDelivery) {
+namespace {
+
+void store_i64(Domain& d, int pe, std::uint64_t off, std::int64_t v) {
+  std::memcpy(d.segment(pe) + off, &v, sizeof v);
+}
+
+void preset_words(void* domain, std::uint64_t, std::uint64_t) {
+  // Satisfies PE 17's and PE 19's waits behind the Domain's back: no
+  // delivery touches these words, so only a wrong wake can return them.
+  auto& d = *static_cast<Domain*>(domain);
+  store_i64(d, 17, 48, 1);
+  store_i64(d, 19, 40, 1);
+}
+
+}  // namespace
+
+// Deliveries wake Domain waiters: the waiter whose word the write overlaps,
+// on the written PE, at the delivery time, and no other. PE 16's word lies
+// inside put A's range [32, 48); PE 17's word at 48 lies just past put B's
+// range [32, 48); PE 19's word sits at PE 16's offset on an unwritten PE;
+// PE 18's word takes the AMO. PE 17 and PE 19 are released by later puts of
+// their own.
+TEST(Domain, DeliveriesWakeOverlappingWaiters) {
   World w;
-  std::vector<WriteEvent> events;
-  w.domain.set_write_hook([&](const WriteEvent& e) { events.push_back(e); });
+  net::PutCompletion a{}, b{}, c{}, d{};
+  sim::Time amo_done = -1;
+  sim::Time woke[20] = {};
   w.engine.spawn(0, [&] {
-    int v[4] = {1, 2, 3, 4};
-    w.domain.put(16, 32, v, sizeof v);
-    w.domain.amo(AmoOp::kFetchAdd, 17, 0, 5);
+    const std::int64_t v[2] = {1, 2};
+    a = w.domain.put(16, 32, v, sizeof v, /*pipelined=*/true);
+    b = w.domain.put(17, 32, v, sizeof v, /*pipelined=*/true);
+    w.domain.amo(AmoOp::kFetchAdd, 18, 0, 5);
+    amo_done = w.engine.now();
+    const std::int64_t one = 1;
+    c = w.domain.put(17, 48, &one, sizeof one);
+    d = w.domain.put(19, 40, &one, sizeof one);
     w.domain.quiet();
   });
+  const struct {
+    int pe;
+    std::uint64_t off;
+    Cmp cmp;
+    std::int64_t value;
+  } waits[] = {{16, 40, Cmp::kEq, 2},
+               {17, 48, Cmp::kNe, 0},
+               {18, 0, Cmp::kEq, 5},
+               {19, 40, Cmp::kNe, 0}};
+  for (const auto& wt : waits) {
+    w.engine.spawn(wt.pe, [&w, &woke, wt] {
+      w.domain.wait_until(wt.pe, wt.off, wt.cmp, wt.value, "test_wait");
+      woke[wt.pe] = w.engine.now();
+    });
+  }
+  w.engine.schedule_raw(1_ns, &preset_words, &w.domain);
   w.engine.run();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].pe, 16);
-  EXPECT_EQ(events[0].offset, 32u);
-  EXPECT_EQ(events[0].len, 16u);
-  EXPECT_EQ(events[1].pe, 17);
+  EXPECT_EQ(woke[16], a.delivered);
+  EXPECT_LT(b.delivered, c.delivered);
+  EXPECT_EQ(woke[17], c.delivered);
+  EXPECT_GT(woke[18], 0);
+  EXPECT_LT(woke[18], amo_done);
+  EXPECT_LT(a.delivered, d.delivered);
+  EXPECT_EQ(woke[19], d.delivered);
 }
 
 TEST(Domain, HwStridedPutScattersCorrectly) {
@@ -279,7 +325,10 @@ TEST(Domain, AmoFromKilledInitiatorStillUpdatesTarget) {
       inj.arm(w.engine);
     }
     sim::Time updated_at = -1;
-    w.domain.set_write_hook([&](const WriteEvent& e) { updated_at = e.time; });
+    w.engine.spawn(16, [&] {
+      w.domain.wait_until(16, 8, Cmp::kEq, 5, "test_wait");
+      updated_at = w.engine.now();
+    });
     w.engine.spawn(0, [&] { w.domain.amo(AmoOp::kFetchAdd, 16, 8, 5); });
     if (kill == Kill::kEngine) {
       w.engine.schedule_raw(100_ns, &kill_pe0, &w.engine);

@@ -237,7 +237,7 @@ TEST(Gasnet, BlockUntilWakesOnAmPoke) {
       });
   h.run([&] {
     if (h.world.mynode() == 1) {
-      h.world.block_until(kOff, [](std::int64_t v) { return v == 42; });
+      h.world.block_until(kOff, fabric::Cmp::kEq, 42);
       EXPECT_GT(h.engine.now(), 0);
     } else {
       h.engine.advance(10'000);
