@@ -32,17 +32,21 @@ UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
 ART=build-release/artifacts
 mkdir -p "$ART"
 
-echo "=== Paper figures: stdout byte-identical to the baselines ==="
-# The figure harnesses print only virtual-time results, so their stdout is
-# the same on every run and every host. Any moved number fails the diff;
-# a deliberate change re-blesses bench/baselines/fig*.txt with its reason.
-for fig in 2:fig2_put_latency 3:fig3_put_bandwidth 6:fig6_xc30_caf \
-           7:fig7_stampede_caf 8:fig8_locks 9:fig9_dht 10:fig10_himeno; do
-  out="$ART/fig${fig%%:*}.txt"
+echo "=== Paper figures + fault harnesses: stdout byte-identical to the baselines ==="
+# The figure and fault harnesses print only virtual-time results, so their
+# stdout is the same on every run and every host. Any moved number fails the
+# diff; a deliberate change re-blesses bench/baselines/<name>.txt with its
+# reason. fault_recovery runs the robust-lock reclaim and the mid-run-kill
+# DHT; fault_sweep the bandwidth-under-loss series.
+for fig in fig2:fig2_put_latency fig3:fig3_put_bandwidth fig6:fig6_xc30_caf \
+           fig7:fig7_stampede_caf fig8:fig8_locks fig9:fig9_dht \
+           fig10:fig10_himeno fault_sweep:fault_sweep \
+           fault_recovery:fault_recovery; do
+  out="$ART/${fig%%:*}.txt"
   "./build-release/bench/${fig#*:}" > "$out"
-  diff -u "bench/baselines/fig${fig%%:*}.txt" "$out"
+  diff -u "bench/baselines/${fig%%:*}.txt" "$out"
 done
-echo "figure stdout ok: fig2/3/6/7/8/9/10 match bench/baselines"
+echo "harness stdout ok: fig2/3/6/7/8/9/10, fault_sweep, fault_recovery match bench/baselines"
 
 echo "=== Bench smoke: RMA pipeline ==="
 # Exercise the pipeline ablation and publish its series as a CI artifact.

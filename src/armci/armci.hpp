@@ -103,10 +103,12 @@ class World {
   void barrier();
 
   /// Blocks until the int64 at `off` in the local segment satisfies
-  /// `cmp value` (woken by remote deliveries; used by layered runtimes).
+  /// `cmp value` (woken by remote deliveries; used by layered runtimes),
+  /// or `epoch` ends it as in fabric::Domain::wait_until.
   void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
-                        std::int64_t value) {
-    domain_->wait_until(me(), off, cmp, value, "armci_wait_until");
+                        std::int64_t value,
+                        std::uint64_t epoch = fabric::kNoEpoch) {
+    domain_->wait_until(me(), off, cmp, value, "armci_wait_until", epoch);
   }
 
  private:

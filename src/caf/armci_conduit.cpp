@@ -5,33 +5,28 @@ namespace caf {
 ArmciConduit::ArmciConduit(armci::World& world)
     : world_(world), seg_bytes_(world.seg_bytes()) {}
 
-std::int64_t ArmciConduit::emulated_rmw(
-    int rank, std::uint64_t off,
-    const std::function<std::int64_t(std::int64_t)>& f) {
-  // Lazily create the conduit's emulation mutex (collective on first use is
-  // not possible here, so it is created in the first collective call path:
-  // allocate() precedes any atomic in the runtime's init()). We create it
-  // on demand under the assumption every rank performs at least one
-  // collective allocation first — enforced by Runtime::init().
+// Mutex-protected read-modify-write: get the word, write back what the AMO
+// leaves there (the old word when a compare-and-swap fails), fence, unlock.
+std::int64_t ArmciConduit::do_amo(fabric::AmoOp op, int rank,
+                                  std::uint64_t off, std::int64_t operand,
+                                  std::int64_t cond) {
+  // The emulation mutex is created in post_init(), which Runtime::init()
+  // runs collectively before any image can issue an atomic.
   if (rmw_mutex_ < 0) {
     throw std::logic_error(
         "ArmciConduit: call init_mutexes() collectively before atomics");
   }
   world_.lock(rmw_mutex_, rank);
-  std::int64_t old = 0;
+  std::uint64_t old = 0;
   world_.get(&old, rank, off, sizeof old);
-  const std::int64_t neu = f(old);
+  const std::uint64_t neu =
+      fabric::amo_apply(op, old, static_cast<std::uint64_t>(operand),
+                        static_cast<std::uint64_t>(cond))
+          .value_or(old);
   world_.put(rank, off, &neu, sizeof neu);
   world_.all_fence();
   world_.unlock(rmw_mutex_, rank);
-  return old;
-}
-
-std::int64_t ArmciConduit::do_amo_cswap(int rank, std::uint64_t off,
-                                     std::int64_t cond, std::int64_t v) {
-  return emulated_rmw(rank, off, [cond, v](std::int64_t old) {
-    return old == cond ? v : old;
-  });
+  return static_cast<std::int64_t>(old);
 }
 
 }  // namespace caf

@@ -58,26 +58,12 @@ class ArmciConduit final : public Conduit {
   // native Rmw is not atomic with respect to a mutex-emulated one — so ALL
   // conduit atomics are serialized through the per-process emulation mutex.
   // This honest cost is part of why the paper prefers OpenSHMEM's AMO set.
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return emulated_rmw(rank, off, [v](std::int64_t) { return v; });
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return emulated_rmw(rank, off, [v](std::int64_t old) { return old + v; });
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override;
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v & m; });
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v | m; });
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v ^ m; });
-  }
+  std::int64_t do_amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override;
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    world_.wait_until_local(off, cmp, value);
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                  std::uint64_t epoch) override {
+    world_.wait_until_local(off, cmp, value, epoch);
   }
   void do_barrier() override { world_.barrier(); }
 
@@ -132,10 +118,6 @@ class ArmciConduit final : public Conduit {
   void do_quiet() override { world_.all_fence(); }
 
  private:
-  /// Generic mutex-protected read-modify-write for the ops ARMCI_Rmw lacks.
-  std::int64_t emulated_rmw(int rank, std::uint64_t off,
-                            const std::function<std::int64_t(std::int64_t)>& f);
-
   armci::World& world_;
   std::size_t seg_bytes_;
   int rmw_mutex_ = -1;  // conduit-internal mutex index (one per process)

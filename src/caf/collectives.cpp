@@ -812,7 +812,7 @@ void CollectiveEngine::pipe_allreduce(
 // back down it. Every message is an nbi put into the receiver's cell for
 // the sender (team_ident), so each cell has one writer and nothing ever
 // waits on a dead peer's reply; a wait ends when its cell moves or a
-// declaration bumps it (wait_, the runtime's wait_fault). On a membership
+// declaration ends it (wait_, the runtime's wait_fault). On a membership
 // move every member still inside `op` folds again over the new plan.
 //
 // A cell holds the sender's partial of an operation, stamped with the
@@ -860,7 +860,7 @@ void CollectiveEngine::wait_ge(std::uint64_t off, std::int64_t v) {
         conduit_.engine().membership_epoch() != st.arm_epoch) {
       throw MembershipMoved{};
     }
-    (void)wait_(off, Cmp::kGe, v);
+    wait_(off, Cmp::kGe, v);
   }
 }
 
@@ -963,7 +963,7 @@ bool CollectiveEngine::fa_run(std::int64_t op, const std::vector<int>& members,
           break;
         }
         obs::Span sp(obs::Cat::kCollStage);
-        (void)wait_(mark_cell(from), Cmp::kNe, v);
+        wait_(mark_cell(from), Cmp::kNe, v);
       }
     }
     if (up == Up::kMoved) continue;
@@ -1028,7 +1028,7 @@ CollectiveEngine::Up CollectiveEngine::await_child(
     }
     if (eng.membership_epoch() != epoch) return Up::kMoved;
     obs::Span sp(obs::Cat::kCollStage);
-    (void)wait_(cell, Cmp::kNe, v);
+    wait_(cell, Cmp::kNe, v);
   }
 }
 
@@ -1102,11 +1102,8 @@ void CollectiveEngine::serve_stranded(sim::Time at) {
       const PerRank& sf = per_rank_[static_cast<std::size_t>(f)];
       if (sf.last_op < k) continue;
       const int idx = team_ident(x, f);
-      std::int64_t raw = 0;
-      std::memcpy(&raw, conduit_.segment(x) + mark_cell(idx), sizeof raw);
-      // Keep an earlier declaration's bump for the waiter to strip.
-      const std::int64_t bump = raw >= kSentinelThreshold ? kFailedSentinel : 0;
-      const std::int64_t cur = raw - bump;
+      std::int64_t cur = 0;
+      std::memcpy(&cur, conduit_.segment(x) + mark_cell(idx), sizeof cur);
       if ((cur >> kOpShift) > k ||
           ((cur >> kOpShift) == k && (cur & kDoneFlag) != 0)) {
         continue;
@@ -1115,7 +1112,7 @@ void CollectiveEngine::serve_stranded(sim::Time at) {
         conduit_.poke(x, mark_slot(idx), sf.last.bytes.data(),
                       sf.last.bytes.size(), at);
       }
-      const std::int64_t mark = done_mark(sf.last_op, sf.last.has) + bump;
+      const std::int64_t mark = done_mark(sf.last_op, sf.last.has);
       conduit_.poke(x, mark_cell(idx), &mark, sizeof mark, at);
       ++obs::registry().counter(x, "coll.team_served");
     }

@@ -55,15 +55,6 @@
 
 namespace caf {
 
-/// Additive failure sentinel the runtime's failure hook pokes into cells
-/// blocked on through its fault-aware wait: large enough to satisfy any
-/// `>=` wait, and an in-flight fadd merely bumps it rather than erasing it.
-inline constexpr std::int64_t kFailedSentinel = std::int64_t{1} << 62;
-/// A cell at or above this holds an additive failure sentinel (true value
-/// + kFailedSentinel; the true values near a sentinel-bumped cell are the
-/// small lock-grant codes, hence the -4 slack).
-inline constexpr std::int64_t kSentinelThreshold = kFailedSentinel - 4;
-
 /// Failure-aware distribution tree over an arbitrary live-member set,
 /// rebuilt whenever the engine's cached membership epoch moves. Node
 /// leaders (the first live member on each node) form a radix-R tree rooted
@@ -121,8 +112,8 @@ class CollectiveEngine {
  public:
   using Combine = std::function<void(void*, const void*)>;
   /// Blocking wait on a local cell that a failure declaration can cut
-  /// short: returns true on a failure wake-up (the runtime's wait_fault).
-  using FaultWait = std::function<bool(std::uint64_t, Cmp, std::int64_t)>;
+  /// short (the runtime's wait_fault); the caller re-reads the cell.
+  using FaultWait = std::function<void(std::uint64_t, Cmp, std::int64_t)>;
 
   CollectiveEngine(Conduit& conduit, const CollOptions& opts, FaultWait wait)
       : conduit_(conduit), opts_(opts), wait_(std::move(wait)) {}
@@ -145,7 +136,7 @@ class CollectiveEngine {
   void barrier();
 
   /// Failure hook (scheduler context, once per declaration, before the
-  /// runtime's sentinel bumps). A member still inside a team operation
+  /// runtime ends the survivors' waits). A member still inside a team operation
   /// whose parent or child in the new epoch's plan already finished it is
   /// handed that neighbour's result: the neighbour may never enter another
   /// team operation, which is where it would otherwise hand it over.

@@ -164,37 +164,33 @@ class Conduit {
   /// True when any put from this rank is outstanding.
   bool pending_any() { return !tracker().dirty_list.empty(); }
 
-  // ---- 64-bit remote atomics (non-virtual fronts over do_amo_* hooks) ----
+  // ---- 64-bit remote atomics (non-virtual fronts over the do_amo hook) ----
   std::int64_t amo_swap(int rank, std::uint64_t off, std::int64_t value) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_swap(rank, off, value);
+    return amo(fabric::AmoOp::kSwap, rank, off, value);
   }
   std::int64_t amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
                          std::int64_t value) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_cswap(rank, off, cond, value);
+    return amo(fabric::AmoOp::kCompareSwap, rank, off, value, cond);
   }
   std::int64_t amo_fadd(int rank, std::uint64_t off, std::int64_t value) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fadd(rank, off, value);
+    return amo(fabric::AmoOp::kFetchAdd, rank, off, value);
   }
   std::int64_t amo_fand(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fand(rank, off, mask);
+    return amo(fabric::AmoOp::kFetchAnd, rank, off, mask);
   }
   std::int64_t amo_for(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_for(rank, off, mask);
+    return amo(fabric::AmoOp::kFetchOr, rank, off, mask);
   }
   std::int64_t amo_fxor(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fxor(rank, off, mask);
+    return amo(fabric::AmoOp::kFetchXor, rank, off, mask);
   }
 
   // ---- synchronization ----
   /// Blocks until the 64-bit word at `off` in the *local* segment satisfies
-  /// cmp/value (woken by remote deliveries; no busy polling).
-  virtual void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) = 0;
+  /// cmp/value (woken by remote deliveries; no busy polling), or `epoch`
+  /// ends it as in fabric::Domain::wait_until.
+  virtual void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                          std::uint64_t epoch = fabric::kNoEpoch) = 0;
   void barrier() {
     obs::Span sp(obs::Cat::kBarrier);
     do_barrier();
@@ -239,21 +235,20 @@ class Conduit {
   virtual void do_quiet() = 0;
 
   // ---- atomic / barrier hooks implemented by each conduit ----
-  virtual std::int64_t do_amo_swap(int rank, std::uint64_t off,
-                                   std::int64_t value) = 0;
-  virtual std::int64_t do_amo_cswap(int rank, std::uint64_t off,
-                                    std::int64_t cond, std::int64_t value) = 0;
-  virtual std::int64_t do_amo_fadd(int rank, std::uint64_t off,
-                                   std::int64_t value) = 0;
-  virtual std::int64_t do_amo_fand(int rank, std::uint64_t off,
-                                   std::int64_t mask) = 0;
-  virtual std::int64_t do_amo_for(int rank, std::uint64_t off,
-                                  std::int64_t mask) = 0;
-  virtual std::int64_t do_amo_fxor(int rank, std::uint64_t off,
-                                   std::int64_t mask) = 0;
+  /// The AMO `op` on the word at `off` in `rank`'s segment: `operand` is
+  /// the swap/add/mask value, `cond` kCompareSwap's comparand. Returns the
+  /// word's old value.
+  virtual std::int64_t do_amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                              std::int64_t operand, std::int64_t cond) = 0;
   virtual void do_barrier() = 0;
 
  private:
+  std::int64_t amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                   std::int64_t operand, std::int64_t cond = 0) {
+    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
+    return do_amo(op, rank, off, operand, cond);
+  }
+
   /// Per-issuing-rank dirty-target tracking. All images share one Conduit
   /// object per stack, so state is keyed by the calling fiber's rank.
   /// Pipeline counters live in the obs registry under "rma.*" keyed by this

@@ -24,43 +24,32 @@ GasnetConduit::GasnetConduit(gasnet::World& world)
   // fetched value. poke() wakes a waiter on the updated word.
   amo_handler_ = world_.register_handler(
       [this](const gasnet::Token& tok, std::span<const std::byte> payload,
-             std::uint64_t off, std::uint64_t packed_kind) -> std::uint64_t {
-        const auto kind = static_cast<AmoKind>(packed_kind);
+             std::uint64_t off, std::uint64_t packed_op) -> std::uint64_t {
+        const auto op = static_cast<fabric::AmoOp>(packed_op);
         // payload = [operand, cond] as int64s; target = token destination,
         // which is the node the handler runs on. We recover it from the
         // payload's trailing rank field.
-        std::int64_t operand = 0, cond = 0;
+        std::uint64_t operand = 0, cond = 0;
         std::int64_t target = 0;
         std::memcpy(&operand, payload.data(), 8);
         std::memcpy(&cond, payload.data() + 8, 8);
         std::memcpy(&target, payload.data() + 16, 8);
-        std::int64_t old = 0;
+        std::uint64_t old = 0;
         std::memcpy(&old, world_.seg(static_cast<int>(target)) + off, 8);
-        std::int64_t neu = old;
-        bool store = true;
-        switch (kind) {
-          case kSwap: neu = operand; break;
-          case kCswap:
-            if (old == cond) neu = operand; else store = false;
-            break;
-          case kAdd: neu = old + operand; break;
-          case kAnd: neu = old & operand; break;
-          case kOr: neu = old | operand; break;
-          case kXor: neu = old ^ operand; break;
-        }
-        if (store) {
-          world_.domain().poke(static_cast<int>(target), off, &neu, 8,
+        if (const auto neu = fabric::amo_apply(op, old, operand, cond)) {
+          world_.domain().poke(static_cast<int>(target), off, &*neu, 8,
                                tok.when);
         }
-        return static_cast<std::uint64_t>(old);
+        return old;
       });
 }
 
-std::int64_t GasnetConduit::am_amo(AmoKind kind, int rank, std::uint64_t off,
-                                   std::int64_t operand, std::int64_t cond) {
+std::int64_t GasnetConduit::do_amo(fabric::AmoOp op, int rank,
+                                   std::uint64_t off, std::int64_t operand,
+                                   std::int64_t cond) {
   std::int64_t payload[3] = {operand, cond, rank};
   return static_cast<std::int64_t>(world_.am_request_reply(
-      rank, amo_handler_, off, static_cast<std::uint64_t>(kind), payload,
+      rank, amo_handler_, off, static_cast<std::uint64_t>(op), payload,
       sizeof payload));
 }
 

@@ -42,28 +42,12 @@ class GasnetConduit final : public Conduit {
     world_.domain().poke(rank, off, src, n, t);
   }
 
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return am_amo(kSwap, rank, off, v, 0);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return am_amo(kCswap, rank, off, v, cond);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return am_amo(kAdd, rank, off, v, 0);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kAnd, rank, off, m, 0);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kOr, rank, off, m, 0);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kXor, rank, off, m, 0);
-  }
+  std::int64_t do_amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override;
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    world_.block_until(off, cmp, value);
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                  std::uint64_t epoch) override {
+    world_.block_until(off, cmp, value, epoch);
   }
   void do_barrier() override { world_.barrier(); }
 
@@ -107,11 +91,6 @@ class GasnetConduit final : public Conduit {
   void do_quiet() override { world_.wait_syncnbi_puts(); }
 
  private:
-  enum AmoKind : std::uint64_t { kSwap, kCswap, kAdd, kAnd, kOr, kXor };
-
-  std::int64_t am_amo(AmoKind kind, int rank, std::uint64_t off,
-                      std::int64_t operand, std::int64_t cond);
-
   gasnet::World& world_;
   std::size_t seg_bytes_;
   int amo_handler_ = -1;

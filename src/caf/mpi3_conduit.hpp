@@ -51,28 +51,17 @@ class Mpi3Conduit final : public Conduit {
 
   fabric::Domain* rma_domain() override { return &win_.domain(); }
 
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return win_.fetch_and_op_replace(v, rank, off);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return win_.compare_and_swap(cond, v, rank, off);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return win_.fetch_and_op_sum(v, rank, off);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_band(m, rank, off);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_bor(m, rank, off);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_bxor(m, rank, off);
+  // MPI_Fetch_and_op / MPI_Compare_and_swap: native on the window.
+  std::int64_t do_amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override {
+    return static_cast<std::int64_t>(win_.domain().amo(
+        op, rank, off, static_cast<std::uint64_t>(operand),
+        static_cast<std::uint64_t>(cond)));
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    win_.wait_until_local(off, cmp, value);
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                  std::uint64_t epoch) override {
+    win_.wait_until_local(off, cmp, value, epoch);
   }
   void do_barrier() override { win_.barrier(); }
 

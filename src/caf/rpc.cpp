@@ -155,9 +155,6 @@ void RpcEngine::bind_local(rpc_detail::FutureCore& core, int target0) {
 std::int64_t RpcEngine::read_bell(int image) {
   std::int64_t v;
   std::memcpy(&v, conduit_.segment(image) + bell_off_, sizeof(v));
-  // The failure hook may have sentinel-bumped the cell while a waiter was
-  // registered on it; the true count is the low part.
-  if (v >= kSentinelThreshold) v -= kFailedSentinel;
   return v;
 }
 
@@ -282,9 +279,6 @@ void RpcEngine::mailbox_send(int me, int target0,
   const auto read_acked = [&]() {
     std::int64_t acked;
     std::memcpy(&acked, conduit_.segment(me) + ack_cell, sizeof(acked));
-    if (acked >= kSentinelThreshold) {
-      acked -= kFailedSentinel;
-    }
     return acked;
   };
   if (seq > static_cast<std::uint64_t>(read_acked()) + k) {
@@ -299,7 +293,7 @@ void RpcEngine::mailbox_send(int me, int target0,
     const auto need = static_cast<std::int64_t>(seq - k);
     while (seq > static_cast<std::uint64_t>(read_acked()) + k) {
       st.parked = true;
-      (void)rt_.wait_fault(ack_cell, Cmp::kGe, need);
+      rt_.wait_fault(ack_cell, Cmp::kGe, need);
       st.parked = false;
       if (conduit_.engine().pe_declared(target0)) {
         throw fabric::PeerFailedError("rpc_send", me, target0, 0,
@@ -601,7 +595,6 @@ void RpcEngine::ack_event(void* ctx, std::uint64_t pair, std::uint64_t val) {
   // Monotonic max: a retransmitted older ack must not regress the cell.
   std::int64_t cur;
   std::memcpy(&cur, c.segment(src) + cell, sizeof(cur));
-  if (cur >= kSentinelThreshold) cur -= kFailedSentinel;
   const std::int64_t v = std::max(cur, static_cast<std::int64_t>(val));
   c.poke(src, cell, &v, sizeof(v), e.sim_now());
 }
@@ -609,7 +602,7 @@ void RpcEngine::ack_event(void* ctx, std::uint64_t pair, std::uint64_t val) {
 void RpcEngine::bump_bell(int image, sim::Time at) {
   std::int64_t cur;
   std::memcpy(&cur, conduit_.segment(image) + bell_off_, sizeof(cur));
-  const std::int64_t v = cur + 1;  // an additive sentinel survives the bump
+  const std::int64_t v = cur + 1;
   conduit_.poke(image, bell_off_, &v, sizeof(v), at);
 }
 
@@ -684,10 +677,10 @@ void RpcEngine::wait(rpc_detail::FutureCore& core) {
     if (static_cast<std::uint64_t>(seen) > st.handled + st.replies_seen) {
       continue;  // a signal landed between the drain and the bell read
     }
-    // Park on the doorbell: replies, new requests, and (via the failure
-    // hook's sentinel bump) peer death all ring it.
+    // Park on the doorbell: replies and new requests ring it, and a peer's
+    // declaration ends the wait (the failure hook's Domain::end_wait).
     st.parked = true;
-    (void)rt_.wait_fault(bell_off_, Cmp::kGe, seen + 1);
+    rt_.wait_fault(bell_off_, Cmp::kGe, seen + 1);
     st.parked = false;
   }
 }

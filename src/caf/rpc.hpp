@@ -283,6 +283,9 @@ class RpcEngine {
   };
 
   int self() const;
+  /// Image `image`'s doorbell: the count of requests and replies signalled
+  /// to it. Only signals write the cell; a failure declaration ends a wait
+  /// on it without touching it.
   std::int64_t read_bell(int image);
   void fail_outstanding(PerPe& st, rpc_detail::Outstanding rec);
   void handle_am(const gasnet::Token& tok, const std::byte* payload,
@@ -317,6 +320,8 @@ class RpcEngine {
   void send_reply(int t, int src, std::uint64_t req_id,
                   const std::byte* ret_bytes, std::size_t ret_len,
                   sim::Time at);
+  /// Rings `image`'s doorbell from the scheduler at `at`: one more signal,
+  /// which wakes the image if it is parked on the bell.
   void bump_bell(int image, sim::Time at);
   void run_ready(int image);
 

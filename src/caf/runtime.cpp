@@ -93,12 +93,12 @@ void Runtime::init() {
   // allocated here, in the same collective order on every image, whether or
   // not the engine ends up selected — so the heap layout never depends on
   // which dispatch path later runs. Its flag waits go through wait_fault so
-  // a declaration wakes them.
+  // a declaration ends them.
   if (!coll_engine_) {
     coll_engine_ = std::make_unique<CollectiveEngine>(
         conduit_, opts_.coll,
         [this](std::uint64_t off, Cmp cmp, std::int64_t v) {
-          return wait_fault(off, cmp, v);
+          wait_fault(off, cmp, v);
         });
   }
   coll_engine_->init();
@@ -153,38 +153,29 @@ std::int64_t Runtime::read_local_i64(std::uint64_t off) {
   return v;
 }
 
-void Runtime::write_local_i64(std::uint64_t off, std::int64_t v) {
-  std::memcpy(local_addr(off), &v, sizeof v);
+void Runtime::wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value) {
+  if (fabric::compare(read_local_i64(off), cmp, value)) return;
+  // The epoch is taken before the park guard's drain, which may yield: a
+  // declaration landing there ends the wait as soon as it starts.
+  const std::uint64_t epoch = conduit_.engine().membership_epoch();
+  RpcParkGuard park(rpc_engine_.get(), me());
+  conduit_.wait_until(off, cmp, value, epoch);
 }
 
-bool Runtime::wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value) {
-  auto& fw = per_image_[me()].fault_waits;
-  for (;;) {
-    const std::int64_t raw = read_local_i64(off);
-    if (raw >= kSentinelThreshold) {
-      // Failure wake-up: restore the true value (local store; this fiber is
-      // the only waiter on its own cells) and let the caller reassess.
-      write_local_i64(off, raw - kFailedSentinel);
-      return true;
-    }
-    if (fabric::compare(raw, cmp, value)) return false;
-    // Register, block, unregister. The cell is registered before any yield
-    // (the park guard's drain may advance the fiber clock), so a kill either
-    // pokes the registered cell or is re-observed by the raw read above on
-    // the next loop turn — no missed wake-ups.
-    fw.push_back(off);
-    {
-      RpcParkGuard park(rpc_engine_.get(), me());
-      conduit_.wait_until(off, cmp, value);
-    }
-    for (auto it = fw.end(); it != fw.begin();) {
-      --it;
-      if (*it == off) {
-        fw.erase(it);
-        break;
-      }
-    }
+bool Runtime::await_partner(int partner) {
+  auto& st = per_image_[me()];
+  sim::Engine& eng = conduit_.engine();
+  const std::uint64_t cell =
+      sync_ctrs_off_ + static_cast<std::uint64_t>(partner) *
+                           sizeof(std::int64_t);
+  const std::int64_t need = st.sync_sent[partner];
+  while (read_local_i64(cell) < need) {
+    if (eng.pe_declared(partner)) return false;
+    st.sync_wait = partner;
+    conduit_.wait_until(cell, Cmp::kGe, need, eng.membership_epoch());
+    st.sync_wait = -1;
   }
+  return true;
 }
 
 void Runtime::sync_images(std::span<const int> images) {
@@ -206,17 +197,10 @@ void Runtime::sync_images(std::span<const int> images) {
   RpcParkGuard park(rpc_engine_.get(), me());
   for (int image : images) {
     const int partner = image - 1;
-    const std::uint64_t cell =
-        sync_ctrs_off_ + static_cast<std::uint64_t>(partner) *
-                             sizeof(std::int64_t);
-    conduit_.wait_until(cell, Cmp::kGe, st.sync_sent[partner]);
-    // A sentinel-bumped cell (partner died) also satisfies the kGe wait; if
-    // the partner never actually reached this sync point, the plain (non-
-    // stat) statement has no escape — park forever so the watchdog's drain
+    // A partner declared before it reached this sync point leaves the plain
+    // (non-stat) statement no escape — park forever so the watchdog's drain
     // report names this image and the corpse it waited on.
-    std::int64_t raw = read_local_i64(cell);
-    if (raw >= kSentinelThreshold &&
-        raw - kFailedSentinel < st.sync_sent[partner]) {
+    if (!await_partner(partner)) {
       sim::Engine& eng = conduit_.engine();
       eng.current_fiber()->set_block_op("sync images (failed partner)",
                                         partner);
@@ -252,32 +236,7 @@ int Runtime::sync_images_stat(std::span<const int> images) {
   RpcParkGuard park(rpc_engine_.get(), me());
   for (int image : images) {
     const int partner = image - 1;
-    const std::uint64_t cell =
-        sync_ctrs_off_ + static_cast<std::uint64_t>(partner) *
-                             sizeof(std::int64_t);
-    const std::int64_t need = st.sync_sent[partner];
-    for (;;) {
-      const std::int64_t raw = read_local_i64(cell);
-      const bool dead_mark = raw >= kSentinelThreshold;
-      const std::int64_t count = dead_mark ? raw - kFailedSentinel : raw;
-      if (dead_mark && count < need) {
-        // Partner died before reaching this sync point. The sentinel stays
-        // in the cell as a permanent failed-partner mark.
-        any_failed = true;
-        break;
-      }
-      if (count >= need) {
-        if (eng.pe_declared(partner)) any_failed = true;
-        break;
-      }
-      if (eng.pe_declared(partner)) {
-        any_failed = true;
-        break;
-      }
-      // Live partner, not yet arrived: a kGe wait that a sentinel bump
-      // (from any kill) also satisfies, so this re-checks after failures.
-      conduit_.wait_until(cell, Cmp::kGe, need);
-    }
+    if (!await_partner(partner) || eng.pe_declared(partner)) any_failed = true;
   }
   return any_failed ? kStatFailedImage : kStatOk;
 }
@@ -304,9 +263,7 @@ bool Runtime::sync_test(int image) {
   const std::uint64_t cell =
       sync_ctrs_off_ + static_cast<std::uint64_t>(partner) *
                            sizeof(std::int64_t);
-  std::int64_t raw = read_local_i64(cell);
-  if (raw >= kSentinelThreshold) raw -= kFailedSentinel;  // peek only
-  if (raw >= st.sync_sent[partner]) {
+  if (read_local_i64(cell) >= st.sync_sent[partner]) {
     pending = false;
     ++st.stats.syncs;
     return true;
@@ -319,33 +276,22 @@ bool Runtime::sync_test(int image) {
 // ---------------------------------------------------------------------------
 
 void Runtime::handle_image_failure(int failed_pe, sim::Time at) {
-  // Scheduler context (engine failure hook). A plain `sync all` barrier or
-  // `sync images` with the dead partner still hangs — by design, so the
-  // engine's drain-time diagnostic identifies who was stuck on whom. Only
-  // stat= and failure-aware waits get woken.
+  // Scheduler context (engine failure hook). A plain `sync all` barrier
+  // still hangs — by design, so the engine's drain-time diagnostic
+  // identifies who was stuck on whom. Only stat= and failure-aware waits
+  // end.
   if (!sync_offsets_ready_) return;
   // Team operations first: members a neighbour's death leaves behind are
-  // handed results, which the bumps below then wake them to find.
+  // handed results, which their ended waits then find.
   coll_engine_->serve_stranded(at);
   sim::Engine& eng = conduit_.engine();
-  const int n = num_images();
-  // Additive sentinel bumps (value + kFailedSentinel, preserving the true
-  // count underneath) into: the dead image's sync_images slot on every
-  // survivor, and every cell a survivor registered through wait_fault().
-  // Idempotent: a cell already at/above the threshold is left alone, so a
-  // second kill before the waiter runs cannot double-bump it.
-  auto bump = [&](int r, std::uint64_t off) {
-    std::int64_t v = 0;
-    std::memcpy(&v, conduit_.segment(r) + off, sizeof v);
-    if (v >= kSentinelThreshold) return;
-    v += kFailedSentinel;
-    conduit_.poke(r, off, &v, sizeof v, at);
-  };
-  for (int r = 0; r < n; ++r) {
+  fabric::Domain& domain = *conduit_.rma_domain();
+  // End every survivor's failure-aware wait (wait_fault, or sync images on
+  // the dead image); a sync images wait on a live partner goes on.
+  for (int r = 0; r < num_images(); ++r) {
     if (r == failed_pe || eng.pe_declared(r)) continue;
-    bump(r, sync_ctrs_off_ +
-                static_cast<std::uint64_t>(failed_pe) * sizeof(std::int64_t));
-    for (const std::uint64_t off : per_image_[r].fault_waits) bump(r, off);
+    const int partner = per_image_[r].sync_wait;
+    if (partner < 0 || partner == failed_pe) domain.end_wait(r, at);
   }
 }
 
@@ -775,11 +721,7 @@ int Runtime::mcs_lock(CoLock lck, int image, bool* reclaimed) {
   // Single flush for the pred-record update and the link put.
   conduit_.quiet();
   for (;;) {
-    std::int64_t g = read_local_i64(qn.offset() + kLockedField);
-    if (g >= kSentinelThreshold) {
-      g -= kFailedSentinel;  // failure bump: restore the true grant state
-      write_local_i64(qn.offset() + kLockedField, g);
-    }
+    const std::int64_t g = read_local_i64(qn.offset() + kLockedField);
     if (g == 0 || g == kReclaimGrant) {
       if (g == kReclaimGrant) *reclaimed = true;
       st.held.emplace(LockKey{L, image}, qn);
@@ -812,17 +754,16 @@ int Runtime::mcs_lock(CoLock lck, int image, bool* reclaimed) {
       repair_mutex_release(home, lck);
       continue;
     }
-    // Predecessor looks alive: block until the grant lands or a failure
-    // bump pokes my locked word (wait_fault registered the cell). Re-check
-    // the home first: the cur_pred get above yields, a declaration landing
-    // in that window already ran the failure hook, and the hook only pokes
-    // cells that were registered when it fired — blocking now would sleep
-    // through a grant that can never come.
+    // Predecessor looks alive: block until the grant lands or a
+    // declaration ends the wait. Re-check the home first: the cur_pred get
+    // above yields, a declaration landing in that window already ran the
+    // failure hook, and the wait only ends on declarations after it starts
+    // — blocking now would sleep through a grant that can never come.
     if (eng.pe_declared(home)) {
       quarantine_qnode(qn);
       return kStatFailedImage;
     }
-    (void)wait_fault(qn.offset() + kLockedField, Cmp::kNe, 1);
+    wait_fault(qn.offset() + kLockedField, Cmp::kNe, 1);
   }
 }
 
@@ -959,10 +900,6 @@ int Runtime::mcs_unlock(CoLock lck, int image) {
   // around corpses as needed.
   for (;;) {
     std::int64_t next_bits = read_local_i64(qn.offset() + kNextField);
-    if (next_bits >= kSentinelThreshold) {
-      next_bits -= kFailedSentinel;
-      write_local_i64(qn.offset() + kNextField, next_bits);
-    }
     if (eng.pe_declared(home)) {
       quarantine_qnode(qn);
       return kStatFailedImage;
@@ -1022,8 +959,8 @@ int Runtime::mcs_unlock(CoLock lck, int image) {
     }
     if (succ_rank >= 0 && !eng.pe_declared(succ_rank)) {
       // Live direct successor: its link put is in flight; wait for it
-      // (a failure bump re-opens the scan).
-      (void)wait_fault(qn.offset() + kNextField, Cmp::kNe, 0);
+      // (a declaration re-opens the scan).
+      wait_fault(qn.offset() + kNextField, Cmp::kNe, 0);
       continue;
     }
     const RemotePtr tail = RemotePtr::from_bits(
@@ -1036,12 +973,7 @@ int Runtime::mcs_unlock(CoLock lck, int image) {
         quarantine_qnode(qn);
         return kStatFailedImage;
       }
-      std::int64_t nb = read_local_i64(qn.offset() + kNextField);
-      if (nb >= kSentinelThreshold) {
-        nb -= kFailedSentinel;
-        write_local_i64(qn.offset() + kNextField, nb);
-      }
-      if (nb != 0) {
+      if (read_local_i64(qn.offset() + kNextField) != 0) {
         repair_mutex_release(home, lck);
         continue;  // normal successor handling above
       }
@@ -1250,7 +1182,6 @@ Runtime::RebuildResult Runtime::mcs_rebuild(CoLock lck, int image) {
             static_cast<std::uint64_t>(holder_node->qnode));
         std::int64_t hl = 0;
         conduit_.get(&hl, hq.image(), hq.offset() + kLockedField, sizeof hl);
-        if (hl >= kSentinelThreshold) hl -= kFailedSentinel;
         if (hl == 1) held_live = false;
       }
     }
@@ -1374,12 +1305,9 @@ void Runtime::event_wait(CoEvent ev, std::int64_t until_count) {
 bool Runtime::event_test(CoEvent ev, std::int64_t until_count) {
   require_init();
   // A pure local probe: one read of the count cell, no blocking, no fiber
-  // yield on either outcome. Success consumes like event_wait would; the
-  // sentinel is peeked through (not written back) like event_query.
+  // yield on either outcome. Success consumes like event_wait would.
   auto& consumed = per_image_[me()].event_consumed[ev.count_off];
-  std::int64_t raw = read_local_i64(ev.count_off);
-  if (raw >= kSentinelThreshold) raw -= kFailedSentinel;
-  if (raw - consumed >= until_count) {
+  if (read_local_i64(ev.count_off) - consumed >= until_count) {
     consumed += until_count;
     return true;
   }
@@ -1388,10 +1316,8 @@ bool Runtime::event_test(CoEvent ev, std::int64_t until_count) {
 
 std::int64_t Runtime::event_query(CoEvent ev) {
   require_init();
-  std::int64_t v = 0;
-  std::memcpy(&v, local_addr(ev.count_off), sizeof v);
-  if (v >= kSentinelThreshold) v -= kFailedSentinel;  // failure-marked cell
-  return v - per_image_[me()].event_consumed[ev.count_off];
+  return read_local_i64(ev.count_off) -
+         per_image_[me()].event_consumed[ev.count_off];
 }
 
 int Runtime::event_post_stat(CoEvent ev, int image) {
@@ -1411,12 +1337,7 @@ int Runtime::event_wait_stat(CoEvent ev, std::int64_t until_count) {
   auto& consumed = per_image_[me()].event_consumed[ev.count_off];
   sim::Engine& eng = conduit_.engine();
   for (;;) {
-    std::int64_t raw = read_local_i64(ev.count_off);
-    if (raw >= kSentinelThreshold) {
-      raw -= kFailedSentinel;
-      write_local_i64(ev.count_off, raw);
-    }
-    if (raw - consumed >= until_count) {
+    if (read_local_i64(ev.count_off) - consumed >= until_count) {
       // Only a satisfied wait advances the consumed ledger: a poster that
       // died mid-post must not leave the count debited below what actually
       // arrived (the classic accounting underflow).
@@ -1424,7 +1345,7 @@ int Runtime::event_wait_stat(CoEvent ev, std::int64_t until_count) {
       return kStatOk;
     }
     if (eng.declared_count() > 0) return kStatFailedImage;
-    (void)wait_fault(ev.count_off, Cmp::kGe, consumed + until_count);
+    wait_fault(ev.count_off, Cmp::kGe, consumed + until_count);
   }
 }
 

@@ -382,9 +382,7 @@ class Runtime {
   /// available (and consumes them, exactly like a satisfied event_wait);
   /// false immediately otherwise. Never blocks, never yields the fiber, and
   /// performs no communication — it is a single local read of the event
-  /// cell, the shape of shmem_test on the event's signal word. A pending
-  /// failure sentinel on the cell is ignored (not consumed), matching
-  /// event_query.
+  /// cell, the shape of shmem_test on the event's signal word.
   bool event_test(CoEvent ev, std::int64_t until_count = 1);
   /// SYNC IMAGES' nonblocking twin for one partner. The first probe of each
   /// round notifies the partner (fence + counter bump — a bounded, already-
@@ -466,7 +464,7 @@ class Runtime {
 
  private:
   friend struct RuntimeTestPeer;
-  friend class RpcEngine;  // mailbox transport uses wait_fault/read_local_i64
+  friend class RpcEngine;  // mailbox transport uses wait_fault
 
   struct LockKey {
     std::uint64_t tail_off;
@@ -508,24 +506,26 @@ class Runtime {
 
   /// Engine failure hook (scheduler context, runs per declaration): lets
   /// the collectives engine hand results to team-operation members the
-  /// death strands (CollectiveEngine::serve_stranded), then sentinel-bumps
-  /// the dead image's sync_images slot and every cell a survivor registered
-  /// through wait_fault(), so stat= syncs, robust locks, events and team
-  /// operations observe the failure instead of sleeping forever.
+  /// death strands (CollectiveEngine::serve_stranded), then, in ascending
+  /// rank order, ends through fabric::Domain::end_wait the wait of every
+  /// survivor inside wait_fault() or waiting in sync images on the dead
+  /// image, so stat= syncs, robust locks, events, RPC waits and team
+  /// operations observe the failure instead of sleeping forever. No
+  /// symmetric memory is written but serve_stranded's results.
   void handle_image_failure(int failed_pe, sim::Time at);
 
   // ---- failure-recovery machinery ----
   std::int64_t read_local_i64(std::uint64_t off);
-  void write_local_i64(std::uint64_t off, std::int64_t v);
-  /// Blocks on a local cell like Conduit::wait_until, but registers the
-  /// cell so the failure hook can wake it with an additive sentinel bump.
-  /// Returns true on a failure wake-up (the cell is restored to its true
-  /// value first), false when the condition is genuinely satisfied. The
-  /// cmp/value pair must be satisfiable by a sentinel-bumped cell (kNe or
-  /// kGe forms). The block is an RPC progress point unless the image is
-  /// already parked. The collectives engine waits through this same
-  /// primitive.
-  bool wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value);
+  /// Blocks on a local cell like Conduit::wait_until (any cmp), until the
+  /// condition holds or a failure declaration after the call ends the wait;
+  /// the caller re-reads the cell and the membership to tell which. The
+  /// block is an RPC progress point unless the image is already parked.
+  /// The collectives engine waits through this same primitive.
+  void wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value);
+  /// sync images' wait for `partner` (0-based) to reach this image's
+  /// current sync point with it: true once it has, false when it is
+  /// declared failed first.
+  bool await_partner(int partner);
 
   // Robust MCS lock internals (epoch-stamped qnodes + home-side queue
   // records + CAS queue repair). See runtime.cpp for the protocol.
@@ -608,9 +608,10 @@ class Runtime {
     ImageStats stats;
     // --- failure-recovery state ---
     std::uint8_t qnode_epoch = 0;  // per-acquisition epoch stamp (wraps)
-    /// Local cells currently blocked on through wait_fault(); the failure
-    /// hook sentinel-bumps these so the waiters wake.
-    std::vector<std::uint64_t> fault_waits;
+    /// The partner whose declaration ends this image's current sync images
+    /// wait (-1 outside one); the failure hook leaves the wait of any other
+    /// partner running.
+    int sync_wait = -1;
     /// Released qnodes parked until stale in-flight writes (late handoffs /
     /// repair grants targeting the old acquisition) can no longer land in a
     /// reused slot.

@@ -54,28 +54,18 @@ class ShmemConduit final : public Conduit {
     world_.domain().poke(rank, off, src, n, t);
   }
 
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return world_.swap(i64_addr(off), v, rank);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return world_.cswap(i64_addr(off), cond, v, rank);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return world_.fadd(i64_addr(off), v, rank);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_and(i64_addr(off), m, rank);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_or(i64_addr(off), m, rank);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_xor(i64_addr(off), m, rank);
+  std::int64_t do_amo(fabric::AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override {
+    // offset_of checks the word lies in the symmetric heap, as the
+    // shmem_<amo> calls do.
+    return static_cast<std::int64_t>(world_.domain().amo(
+        op, rank, world_.offset_of(i64_addr(off)),
+        static_cast<std::uint64_t>(operand), static_cast<std::uint64_t>(cond)));
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    world_.wait_until(i64_addr(off), cmp, value);
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                  std::uint64_t epoch) override {
+    world_.wait_until(i64_addr(off), cmp, value, epoch);
   }
   void do_barrier() override { world_.barrier_all(); }
 

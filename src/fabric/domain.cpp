@@ -539,21 +539,9 @@ void Domain::round_trip_exec(void* ctx, std::uint64_t rec, std::uint64_t) {
   std::uint64_t old = 0;
   std::memcpy(&old, src, sizeof old);
   std::memcpy(r.buf, &old, sizeof old);
-  std::uint64_t neu = old;
-  bool store = true;
-  switch (r.op) {
-    case AmoOp::kSwap: neu = r.operand; break;
-    case AmoOp::kCompareSwap:
-      if (old == r.cond) neu = r.operand; else store = false;
-      break;
-    case AmoOp::kFetchAdd: neu = old + r.operand; break;
-    case AmoOp::kFetchAnd: neu = old & r.operand; break;
-    case AmoOp::kFetchOr: neu = old | r.operand; break;
-    case AmoOp::kFetchXor: neu = old ^ r.operand; break;
-  }
-  if (store) {
-    std::memcpy(src, &neu, sizeof neu);
-    d->wake(r.pe, r.off, sizeof neu, r.exec);
+  if (const auto neu = amo_apply(r.op, old, r.operand, r.cond)) {
+    std::memcpy(src, &*neu, sizeof *neu);
+    d->wake(r.pe, r.off, sizeof *neu, r.exec);
   }
 }
 
@@ -645,13 +633,24 @@ Domain::Wait& Domain::start_wait(int me, const char* op) {
 }
 
 void Domain::wait_until(int me, std::uint64_t off, Cmp cmp,
-                        std::int64_t value, const char* op) {
+                        std::int64_t value, const char* op,
+                        std::uint64_t epoch) {
   Wait& w = start_wait(me, op);
   w.off = off;
   w.cmp = cmp;
   w.value = value;
+  w.epoch = epoch;
   w.test_due = true;
   park(me);
+}
+
+void Domain::end_wait(int pe, sim::Time t) {
+  if (waits_.empty()) return;
+  Wait& w = waits_[static_cast<std::size_t>(pe)];
+  if (w.watching && ended(w)) {
+    w.watching = false;
+    engine_.resume(*w.fiber, t);
+  }
 }
 
 void Domain::barrier(int me, const ActiveSet& as, std::uint64_t flags_off,
@@ -694,7 +693,7 @@ bool Domain::step(int me) {
     if (w.test_due) {
       std::int64_t v = 0;
       std::memcpy(&v, segments_[me].data() + w.off, sizeof v);
-      if (!compare(v, w.cmp, w.value)) {
+      if (!compare(v, w.cmp, w.value) && !ended(w)) {
         w.watching = true;
         f.set_block_op(w.op);
         return false;

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,25 @@ enum class AmoOp {
   kFetchOr,
   kFetchXor,
 };
+
+/// The word AMO `op` leaves in a target word holding `old`: `operand` is the
+/// swap/add/mask value, `cond` kCompareSwap's comparand. Empty when a
+/// compare-and-swap fails and the word is not written.
+inline std::optional<std::uint64_t> amo_apply(AmoOp op, std::uint64_t old,
+                                              std::uint64_t operand,
+                                              std::uint64_t cond) {
+  switch (op) {
+    case AmoOp::kSwap: return operand;
+    case AmoOp::kCompareSwap:
+      if (old != cond) return std::nullopt;
+      return operand;
+    case AmoOp::kFetchAdd: return old + operand;
+    case AmoOp::kFetchAnd: return old & operand;
+    case AmoOp::kFetchOr: return old | operand;
+    case AmoOp::kFetchXor: return old ^ operand;
+  }
+  return std::nullopt;
+}
 
 /// One record of a scatter (write-combining) put: `len` payload bytes
 /// starting at `payload_off` in the packed payload land at `dst_off` in the
@@ -158,6 +178,9 @@ inline bool compare(std::int64_t v, Cmp cmp, std::int64_t ref) {
   }
   return false;
 }
+
+/// The epoch of a wait_until that no failure declaration ends.
+inline constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
 
 /// An OpenSHMEM active set: the PEs PE_start + k*2^logPE_stride for
 /// k in [0, PE_size). The classic triplet addressing of the 1.x
@@ -312,8 +335,18 @@ class Domain {
   /// `cmp value`. Each delivery overlapping that word runs the test again on
   /// the scheduler; the fiber is switched in only once it passes. A stall
   /// report names `op` as the PE's blocking operation.
+  ///
+  /// `epoch` is the sim::Engine::membership_epoch() the caller started at:
+  /// once a failure declaration has moved the engine past it, the wait ends
+  /// whatever the word holds — at once if it already has, else when
+  /// end_wait() or a delivery next runs the test. kNoEpoch never ends.
   void wait_until(int me, std::uint64_t off, Cmp cmp, std::int64_t value,
-                  const char* op);
+                  const char* op, std::uint64_t epoch = kNoEpoch);
+
+  /// Ends PE `pe`'s wait_until at time `t` (scheduler context) when the
+  /// PE is parked in one whose epoch a declaration has moved past; any
+  /// other wait, and a PE not parked, is left as it is.
+  void end_wait(int pe, sim::Time t);
 
   /// Dissemination barrier of PE `me` over the members of `as`: in round r
   /// it sends `gen` to rank + 2^r through `send`, then waits until round
@@ -542,6 +575,7 @@ class Domain {
     bool test_due = false;       ///< the flag test comes before the next round
     Cmp cmp = Cmp::kGe;
     std::int64_t value = 0;      ///< tested against; also what rounds send
+    std::uint64_t epoch = kNoEpoch;  ///< wait_until's; barriers never end
     const char* op = nullptr;    ///< block-op tag while the test fails
     ActiveSet as;                ///< barrier members (pe_size 1: no rounds)
     int rel = 0;                 ///< the PE's rank in `as`
@@ -585,6 +619,10 @@ class Domain {
       w.watching = false;
       engine_.resume(*w.fiber, t);
     }
+  }
+  /// True once a declaration has moved the engine past `w`'s epoch.
+  bool ended(const Wait& w) const {
+    return w.epoch < engine_.membership_epoch();
   }
   template <bool kPipelined>
   static net::PutCompletion put_flag(void* domain, int me, sim::Time now,

@@ -108,9 +108,12 @@ class World {
 
   /// Blocks the calling fiber until the int64 at `off` in the local segment
   /// satisfies `cmp value` (used by layered runtimes to spin on AM-written
-  /// flags). Equivalent to GASNET_BLOCKUNTIL.
-  void block_until(std::uint64_t off, fabric::Cmp cmp, std::int64_t value) {
-    domain_->wait_until(mynode(), off, cmp, value, "gasnet_block_until");
+  /// flags). Equivalent to GASNET_BLOCKUNTIL; `epoch` as in
+  /// fabric::Domain::wait_until.
+  void block_until(std::uint64_t off, fabric::Cmp cmp, std::int64_t value,
+                   std::uint64_t epoch = fabric::kNoEpoch) {
+    domain_->wait_until(mynode(), off, cmp, value, "gasnet_block_until",
+                        epoch);
   }
 
  private:

@@ -67,34 +67,6 @@ std::int64_t Window::compare_and_swap(std::int64_t compare, std::int64_t value,
                    static_cast<std::uint64_t>(compare)));
 }
 
-std::int64_t Window::fetch_and_op_replace(std::int64_t value, int target_rank,
-                                          std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kSwap, target_rank, target_off,
-                   static_cast<std::uint64_t>(value)));
-}
-
-std::int64_t Window::fetch_and_op_band(std::int64_t mask, int target_rank,
-                                       std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchAnd, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
-}
-
-std::int64_t Window::fetch_and_op_bor(std::int64_t mask, int target_rank,
-                                      std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchOr, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
-}
-
-std::int64_t Window::fetch_and_op_bxor(std::int64_t mask, int target_rank,
-                                       std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchXor, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
-}
-
 void Window::flush_all() { domain_->quiet(); }
 
 std::uint64_t Window::allocate_collective(std::size_t bytes) {

@@ -56,16 +56,6 @@ class Window {
   /// MPI_Compare_and_swap on a 64-bit target.
   std::int64_t compare_and_swap(std::int64_t compare, std::int64_t value,
                                 int target_rank, std::uint64_t target_off);
-  /// MPI_Fetch_and_op(MPI_REPLACE): atomic swap.
-  std::int64_t fetch_and_op_replace(std::int64_t value, int target_rank,
-                                    std::uint64_t target_off);
-  /// MPI_Fetch_and_op(MPI_BAND / MPI_BOR / MPI_BXOR).
-  std::int64_t fetch_and_op_band(std::int64_t mask, int target_rank,
-                                 std::uint64_t target_off);
-  std::int64_t fetch_and_op_bor(std::int64_t mask, int target_rank,
-                                std::uint64_t target_off);
-  std::int64_t fetch_and_op_bxor(std::int64_t mask, int target_rank,
-                                 std::uint64_t target_off);
   /// MPI_Win_flush_all: all outstanding RMA from this rank complete.
   void flush_all();
   /// Collective window-memory allocation (MPI_Win_allocate_shared style
@@ -74,10 +64,12 @@ class Window {
   std::uint64_t allocate_collective(std::size_t bytes);
   void free_collective(std::uint64_t off);
   /// Blocks until the local int64 at `off` satisfies `cmp value` (an
-  /// MPI_Win passive-target progress wait; used by layered runtimes).
+  /// MPI_Win passive-target progress wait; used by layered runtimes), or
+  /// `epoch` ends it as in fabric::Domain::wait_until.
   void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
-                        std::int64_t value) {
-    domain_->wait_until(rank(), off, cmp, value, "mpi3_wait_until");
+                        std::int64_t value,
+                        std::uint64_t epoch = fabric::kNoEpoch) {
+    domain_->wait_until(rank(), off, cmp, value, "mpi3_wait_until", epoch);
   }
   /// MPI_Barrier over COMM_WORLD (dissemination on flags in the window's
   /// reserved prefix, each round's flag sent as a blocking MPI_Put).

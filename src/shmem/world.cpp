@@ -207,9 +207,10 @@ void World::fence() { domain_->fence(); }
 // Point-to-point synchronization
 // ---------------------------------------------------------------------------
 
-void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value) {
+void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value,
+                       std::uint64_t epoch) {
   domain_->wait_until(my_pe(), sym_off(ivar, "wait_until"), cmp, value,
-                      "shmem_wait_until");
+                      "shmem_wait_until", epoch);
 }
 
 // ---------------------------------------------------------------------------

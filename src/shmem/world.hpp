@@ -132,7 +132,10 @@ class World {
   void fence();
 
   // ---- point-to-point sync (shmem_wait_until on 64-bit symmetric vars) ----
-  void wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value);
+  /// `epoch` as in fabric::Domain::wait_until (layered runtimes' failure-
+  /// aware waits); the default never ends early.
+  void wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value,
+                  std::uint64_t epoch = fabric::kNoEpoch);
 
   // ---- atomics (64-bit, as used by the paper's lock design §IV-D) ----
   std::int64_t swap(std::int64_t* target, std::int64_t value, int pe);

@@ -235,8 +235,9 @@ class Engine {
     return suspicion_query_ && suspicion_query_(pe);
   }
 
-  /// Registers a hook invoked (on the scheduler context) after each PE
-  /// kill; runtimes use this to poke failure sentinels into sync state.
+  /// Registers a hook invoked (on the scheduler context) at each
+  /// declaration, after the epoch has moved; runtimes use it to end the
+  /// failure-aware waits the death cuts short (fabric::Domain::end_wait).
   void on_pe_failure(std::function<void(const PeFailure&)> hook) {
     failure_hooks_.push_back(std::move(hook));
   }
