@@ -183,11 +183,14 @@ CAF_TRACE="$ART/fig9_dht_trace.json" ./build-release/bench/fig9_dht --smoke 8
 python3 -m json.tool "$ART/fig9_dht_trace.json" > /dev/null
 echo "trace artifact ok: $ART/fig9_dht_trace.json"
 
-echo "=== Repository benchmark smoke: perfbench failover ==="
+echo "=== Repository benchmark smoke: perfbench failover + himeno ==="
 # perfbench/ is its own CMake tree (BENCHMARK.json's command), which the
 # suites above never build. One short failover run builds it from src/ and
-# runs its output checks: run.py exits non-zero when a check fails.
+# runs its output checks: run.py exits non-zero when a check fails. The
+# himeno leg checks every image's gosa per iteration at 2048 images, so a
+# broken halo pack or section walk fails here too.
 python3 perfbench/run.py --workload failover --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload himeno --seed 1 --seconds 1 --trace 0
 
 echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
 # Host-side engine health: queue events/sec, fiber switches/sec, zero

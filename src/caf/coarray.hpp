@@ -17,6 +17,7 @@
 // are lo:hi:stride triplets — all exactly as in the paper's examples.
 #pragma once
 
+#include <algorithm>
 #include <initializer_list>
 #include <stdexcept>
 #include <vector>
@@ -99,18 +100,32 @@ class Coarray {
   }
 
   /// Local section gather/scatter (no communication; used by tests and by
-  /// halo packing).
+  /// halo packing): one copy_n per contiguous run of dimension 0.
   void pack_local(T* dst_packed, const Section& sec) const {
     const SectionDesc d = describe(shape_, sec);
-    const auto elems = linear_elements(d);
     const T* base = data();
-    for (std::size_t i = 0; i < elems.size(); ++i) dst_packed[i] = base[elems[i]];
+    for_each_run(d, 0, [&](std::int64_t elem, std::int64_t packed) {
+      if (d.dim0_contiguous()) {
+        std::copy_n(base + elem, d.count[0], dst_packed + packed);
+        return;
+      }
+      for (std::int64_t i = 0; i < d.count[0]; ++i) {
+        dst_packed[packed + i] = base[elem + i * d.elem_stride[0]];
+      }
+    });
   }
   void unpack_local(const Section& sec, const T* src_packed) {
     const SectionDesc d = describe(shape_, sec);
-    const auto elems = linear_elements(d);
     T* base = data();
-    for (std::size_t i = 0; i < elems.size(); ++i) base[elems[i]] = src_packed[i];
+    for_each_run(d, 0, [&](std::int64_t elem, std::int64_t packed) {
+      if (d.dim0_contiguous()) {
+        std::copy_n(src_packed + packed, d.count[0], base + elem);
+        return;
+      }
+      for (std::int64_t i = 0; i < d.count[0]; ++i) {
+        base[elem + i * d.elem_stride[0]] = src_packed[packed + i];
+      }
+    });
   }
 
  private:

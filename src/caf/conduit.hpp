@@ -69,7 +69,8 @@ class Conduit {
   virtual bool direct_reachable(int /*target*/) { return false; }
 
   /// The fabric::Domain this conduit's RMA rides on, or nullptr for
-  /// conduits without one. Lets the runtime enable Domain-level features
+  /// conduits without one (caf::Runtime needs one: it resolves local
+  /// addresses through it). Lets the runtime enable Domain-level features
   /// (the node-local shared-segment transport) and lets pricing layers
   /// (the collectives selector, caf::NodeHeap) query its state without
   /// knowing the concrete conduit type.

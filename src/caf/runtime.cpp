@@ -40,15 +40,13 @@ struct RpcParkGuard {
 }  // namespace
 
 Runtime::Runtime(Conduit& conduit, Options opts)
-    : conduit_(conduit), opts_(opts) {
+    : conduit_(conduit), dom_(*conduit.rma_domain()), opts_(opts) {
   per_image_.resize(conduit_.nranks());
   if (opts_.node.enabled) {
     // Enable the node-local shared-segment transport on the conduit's RMA
-    // domain (idempotent; conduits without a Domain simply keep the fabric
-    // path). Done here — not per-fiber — so it is set before any image runs.
-    if (fabric::Domain* d = conduit_.rma_domain()) {
-      d->enable_node_transport(opts_.node);
-    }
+    // domain (idempotent). Done here — not per-fiber — so it is set before
+    // any image runs.
+    dom_.enable_node_transport(opts_.node);
   }
   if (opts_.rpc.enabled) {
     rpc_engine_ = std::make_unique<RpcEngine>(*this, opts_.rpc);
@@ -285,13 +283,12 @@ void Runtime::handle_image_failure(int failed_pe, sim::Time at) {
   // handed results, which their ended waits then find.
   coll_engine_->serve_stranded(at);
   sim::Engine& eng = conduit_.engine();
-  fabric::Domain& domain = *conduit_.rma_domain();
   // End every survivor's failure-aware wait (wait_fault, or sync images on
   // the dead image); a sync images wait on a live partner goes on.
   for (int r = 0; r < num_images(); ++r) {
     if (r == failed_pe || eng.pe_declared(r)) continue;
     const int partner = per_image_[r].sync_wait;
-    if (partner < 0 || partner == failed_pe) domain.end_wait(r, at);
+    if (partner < 0 || partner == failed_pe) dom_.end_wait(r, at);
   }
 }
 

@@ -303,11 +303,14 @@ class Runtime {
   /// Host address of a symmetric offset on a given 1-based image. Only the
   /// caller's own image may be written through this pointer; other images'
   /// addresses are for the runtime's delivery machinery and tests.
+  /// Both resolve inline through the conduit's fabric::Domain: the calling
+  /// image is the engine's current fiber, so one Runtime (and every Coarray
+  /// on it) serves all images without caching a per-image base.
   std::byte* local_addr(std::uint64_t off) {
-    return conduit_.segment(conduit_.rank()) + off;
+    return dom_.segment(me()) + off;
   }
   std::byte* image_addr(int image, std::uint64_t off) {
-    return conduit_.segment(image - 1) + off;
+    return dom_.segment(image - 1) + off;
   }
 
   // ---- non-symmetric managed buffer (§IV-A) ----
@@ -479,7 +482,7 @@ class Runtime {
   };
 
   void require_init() const;
-  int me() const { return conduit_.rank(); }
+  int me() const { return dom_.current_pe(); }
 
   // ---- nonblocking RMA pipeline (write combining + deferred quiet) ----
   bool deferred() const {
@@ -572,6 +575,7 @@ class Runtime {
   void co_reduce_impl(T* data, std::size_t nelems, ReduceOp op);
 
   Conduit& conduit_;
+  fabric::Domain& dom_;  ///< the conduit's rma_domain(): segments, current PE
   Options opts_;
   bool inited_ = false;
   std::unique_ptr<CollectiveEngine> coll_engine_;

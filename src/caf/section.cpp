@@ -10,35 +10,15 @@ Shape::Shape(std::initializer_list<std::int64_t> extents) {
     if (e < 0) throw std::invalid_argument("Shape: negative extent");
     extents_[rank_++] = e;
   }
+  for (int d = 1; d < kMaxDims; ++d) {
+    strides_[d] = strides_[d - 1] * extents_[d - 1];
+  }
 }
 
 std::int64_t Shape::size() const {
   std::int64_t s = 1;
   for (int d = 0; d < rank_; ++d) s *= extents_[d];
   return rank_ == 0 ? 1 : s;
-}
-
-std::int64_t Shape::dim_stride(int dim) const {
-  std::int64_t s = 1;
-  for (int d = 0; d < dim; ++d) s *= extents_[d];
-  return s;
-}
-
-std::int64_t Shape::linear_index(
-    std::initializer_list<std::int64_t> subs) const {
-  if (static_cast<int>(subs.size()) != rank_) {
-    throw std::invalid_argument("linear_index: rank mismatch");
-  }
-  std::int64_t idx = 0;
-  int d = 0;
-  for (std::int64_t s : subs) {
-    if (s < 1 || s > extents_[d]) {
-      throw std::out_of_range("linear_index: subscript out of bounds");
-    }
-    idx += (s - 1) * dim_stride(d);
-    ++d;
-  }
-  return idx;
 }
 
 Section::Section(std::initializer_list<Triplet> dims) {

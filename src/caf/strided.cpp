@@ -1,11 +1,12 @@
 // Multi-dimensional strided RMA (§IV-C): the naive algorithm, the paper's
-// 2dim_strided algorithm, and this PR's aggregated (write-combining) plan.
+// 2dim_strided algorithm, and the aggregated (write-combining) plan.
 //
 // Host-side data is packed in section order (column-major over the selected
 // elements); the remote side is described by a SectionDesc against the
-// coarray's shape.
+// coarray's shape. Every algorithm walks the section with caf::for_each_run
+// (section.hpp), the same walker local packing uses.
 //
-//   naive        — walk every index tuple; transfer one contiguous run per
+//   naive        — walk the dim-0 runs; transfer one contiguous run per
 //                  innermost (dim 0) segment: a single putmem/getmem when
 //                  dim 0 of the section is contiguous (the matrix-oriented
 //                  case that §V-D shows favours naive), else one
@@ -14,7 +15,7 @@
 //   2dim_strided — pick base_dim ∈ {0, 1} with the most strided elements
 //                  (the paper restricts the choice to the first two
 //                  dimensions to respect data locality), then issue one 1-D
-//                  shmem_iput/iget per remaining index tuple. For the
+//                  shmem_iput/iget per run along it. For the
 //                  example this reduces 50*40*25 calls to 1*40*25.
 //   aggregate    — puts only: stage every run into the write-combining
 //                  chunk; many small runs ship as a few scatter messages.
@@ -22,7 +23,6 @@
 // Run coalescing (Options::rma.run_coalescing) sits under all put/get run
 // walks: innermost runs that happen to be adjacent in BOTH remote and
 // packed space are merged into one transfer before dispatch.
-#include <array>
 #include <cmath>
 #include <cstddef>
 
@@ -31,18 +31,6 @@
 namespace caf {
 
 namespace {
-
-/// Packed (host-buffer) element strides of a section: contiguous column-
-/// major over the selected counts.
-std::array<std::int64_t, kMaxDims> packed_strides(const SectionDesc& d) {
-  std::array<std::int64_t, kMaxDims> ps{};
-  std::int64_t s = 1;
-  for (int dim = 0; dim < d.rank; ++dim) {
-    ps[dim] = s;
-    s *= d.count[dim];
-  }
-  return ps;
-}
 
 /// Chooses the 2dim_strided base dimension: the one of the first two
 /// dimensions with more strided elements (§IV-C's two optimizations:
@@ -131,40 +119,6 @@ int choose_adaptive_plan(const net::SwProfile& sw, bool hw,
   return best;
 }
 
-/// Odometer over the index tuples of all dimensions except `skip_dim`.
-/// Invokes fn(idx) for each tuple; idx[skip_dim] stays 0.
-template <typename Fn>
-void for_each_tuple(const SectionDesc& d, int skip_dim, Fn&& fn) {
-  std::array<std::int64_t, kMaxDims> idx{};
-  std::int64_t tuples = 1;
-  for (int dim = 0; dim < d.rank; ++dim) {
-    if (dim != skip_dim) tuples *= d.count[dim];
-  }
-  for (std::int64_t n = 0; n < tuples; ++n) {
-    fn(idx);
-    for (int dim = 0; dim < d.rank; ++dim) {
-      if (dim == skip_dim) continue;
-      if (++idx[dim] < d.count[dim]) break;
-      idx[dim] = 0;
-    }
-  }
-}
-
-std::int64_t remote_elem_offset(const SectionDesc& d,
-                                const std::array<std::int64_t, kMaxDims>& idx) {
-  std::int64_t off = d.first_elem;
-  for (int dim = 0; dim < d.rank; ++dim) off += idx[dim] * d.elem_stride[dim];
-  return off;
-}
-
-std::int64_t packed_elem_offset(const std::array<std::int64_t, kMaxDims>& ps,
-                                const SectionDesc& d,
-                                const std::array<std::int64_t, kMaxDims>& idx) {
-  std::int64_t off = 0;
-  for (int dim = 0; dim < d.rank; ++dim) off += idx[dim] * ps[dim];
-  return off;
-}
-
 /// Merges adjacent innermost runs before dispatch. A run extends the
 /// pending one only when it is adjacent in BOTH remote and packed element
 /// space, so one contiguous memcpy on each side covers the merged range.
@@ -206,6 +160,23 @@ class RunCoalescer {
   std::int64_t len_ = 0;
 };
 
+/// The naive walk: one run per dimension-0 run of `d` (or one per element
+/// when dimension 0 is strided), through the coalescer, then a final flush.
+template <typename Dispatch>
+void add_naive_runs(RunCoalescer<Dispatch>& co, const SectionDesc& d) {
+  const bool contig = d.dim0_contiguous();
+  for_each_run(d, 0, [&](std::int64_t roff, std::int64_t poff) {
+    if (contig) {
+      co.add(roff, poff, d.count[0]);
+      return;
+    }
+    for (std::int64_t i = 0; i < d.count[0]; ++i) {
+      co.add(roff + i * d.elem_stride[0], poff + i, 1);
+    }
+  });
+  co.flush();
+}
+
 }  // namespace
 
 StridedStats Runtime::put_strided(int image, std::uint64_t base_off,
@@ -214,11 +185,10 @@ StridedStats Runtime::put_strided(int image, std::uint64_t base_off,
                                   const void* src_packed) {
   require_init();
   const int rank0 = image - 1;
-  const auto ps = packed_strides(dst);
   const auto* src = static_cast<const std::byte*>(src_packed);
   StridedStats stats;
   stats.elements = static_cast<std::size_t>(dst.total);
-  auto& istats = per_image_[conduit_.rank()].stats;
+  auto& istats = per_image_[me()].stats;
 
   StridedAlgo algo = opts_.strided;
   int adaptive_base = -1;
@@ -245,7 +215,6 @@ StridedStats Runtime::put_strided(int image, std::uint64_t base_off,
   if (algo == StridedAlgo::kNaive || algo == StridedAlgo::kAggregate) {
     // One contiguous transfer per innermost run (or per element when the
     // innermost dimension is itself strided), coalescing adjacent runs.
-    const bool contig = dst.dim0_contiguous();
     const bool aggregate = algo == StridedAlgo::kAggregate;
     auto send = [&](std::int64_t roff, std::int64_t poff, std::int64_t elems) {
       const std::uint64_t off =
@@ -259,29 +228,16 @@ StridedStats Runtime::put_strided(int image, std::uint64_t base_off,
       }
     };
     RunCoalescer co(opts_.rma.run_coalescing, stats, istats, send);
-    for_each_tuple(dst, /*skip_dim=*/0, [&](const auto& idx) {
-      const std::int64_t roff = remote_elem_offset(dst, idx);
-      const std::int64_t poff = packed_elem_offset(ps, dst, idx);
-      if (contig) {
-        co.add(roff, poff, dst.count[0]);
-      } else {
-        for (std::int64_t i = 0; i < dst.count[0]; ++i) {
-          co.add(roff + i * dst.elem_stride[0], poff + i, 1);
-        }
-      }
-    });
-    co.flush();
+    add_naive_runs(co, dst);
   } else {
     // 2dim_strided: one 1-D strided call per tuple of the non-base dims.
     const int base = adaptive_base >= 0 ? adaptive_base : choose_base_dim(dst);
-    for_each_tuple(dst, base, [&](const auto& idx) {
-      const std::int64_t roff = remote_elem_offset(dst, idx);
-      const std::int64_t poff = packed_elem_offset(ps, dst, idx);
+    for_each_run(dst, base, [&](std::int64_t roff, std::int64_t poff) {
       conduit_.iput(rank0,
                     base_off + static_cast<std::uint64_t>(roff) * elem_bytes,
                     /*dst_stride=*/dst.elem_stride[base],
                     src + poff * static_cast<std::int64_t>(elem_bytes),
-                    /*src_stride=*/ps[base], elem_bytes,
+                    /*src_stride=*/dst.packed_stride(base), elem_bytes,
                     static_cast<std::size_t>(dst.count[base]));
       ++stats.messages;
     });
@@ -303,11 +259,10 @@ StridedStats Runtime::get_strided(void* dst_packed, int image,
                                   const SectionDesc& src) {
   require_init();
   const int rank0 = image - 1;
-  const auto ps = packed_strides(src);
   auto* dst = static_cast<std::byte*>(dst_packed);
   StridedStats stats;
   stats.elements = static_cast<std::size_t>(src.total);
-  auto& istats = per_image_[conduit_.rank()].stats;
+  auto& istats = per_image_[me()].stats;
   if (opts_.memory_model == MemoryModel::kStrict) {
     // A strict-mode get must observe this image's program-order-earlier
     // puts: flush staged records headed to the read target, then complete
@@ -334,32 +289,18 @@ StridedStats Runtime::get_strided(void* dst_packed, int image,
   if (algo == StridedAlgo::kAggregate) algo = StridedAlgo::kNaive;
 
   if (algo == StridedAlgo::kNaive) {
-    const bool contig = src.dim0_contiguous();
     auto recv = [&](std::int64_t roff, std::int64_t poff, std::int64_t elems) {
       conduit_.get(dst + poff * static_cast<std::int64_t>(elem_bytes), rank0,
                    base_off + static_cast<std::uint64_t>(roff) * elem_bytes,
                    static_cast<std::size_t>(elems) * elem_bytes);
     };
     RunCoalescer co(opts_.rma.run_coalescing, stats, istats, recv);
-    for_each_tuple(src, 0, [&](const auto& idx) {
-      const std::int64_t roff = remote_elem_offset(src, idx);
-      const std::int64_t poff = packed_elem_offset(ps, src, idx);
-      if (contig) {
-        co.add(roff, poff, src.count[0]);
-      } else {
-        for (std::int64_t i = 0; i < src.count[0]; ++i) {
-          co.add(roff + i * src.elem_stride[0], poff + i, 1);
-        }
-      }
-    });
-    co.flush();
+    add_naive_runs(co, src);
   } else {
     const int base = adaptive_base >= 0 ? adaptive_base : choose_base_dim(src);
-    for_each_tuple(src, base, [&](const auto& idx) {
-      const std::int64_t roff = remote_elem_offset(src, idx);
-      const std::int64_t poff = packed_elem_offset(ps, src, idx);
+    for_each_run(src, base, [&](std::int64_t roff, std::int64_t poff) {
       conduit_.iget(dst + poff * static_cast<std::int64_t>(elem_bytes),
-                    /*dst_stride=*/ps[base], rank0,
+                    /*dst_stride=*/src.packed_stride(base), rank0,
                     base_off + static_cast<std::uint64_t>(roff) * elem_bytes,
                     /*src_stride=*/src.elem_stride[base], elem_bytes,
                     static_cast<std::size_t>(src.count[base]));

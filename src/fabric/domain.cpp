@@ -53,22 +53,6 @@ Domain::Domain(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   outstanding_.assign(fabric_.npes(), 0);
 }
 
-std::byte* Domain::segment(int pe) {
-  assert(pe >= 0 && pe < npes());
-  return segments_[pe].data();
-}
-
-const std::byte* Domain::segment(int pe) const {
-  assert(pe >= 0 && pe < npes());
-  return segments_[pe].data();
-}
-
-int Domain::current_pe() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "fabric operations require a PE fiber context");
-  return f->pe();
-}
-
 void Domain::note_outstanding(int src_pe, sim::Time t) {
   outstanding_[src_pe] = std::max(outstanding_[src_pe], t);
 }

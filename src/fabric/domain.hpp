@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -233,8 +234,21 @@ class Domain {
 
   /// Base address of `pe`'s segment (host pointer; valid for local reads
   /// and for the delivery machinery).
-  std::byte* segment(int pe);
-  const std::byte* segment(int pe) const;
+  std::byte* segment(int pe) {
+    assert(pe >= 0 && pe < npes());
+    return segments_[pe].data();
+  }
+  const std::byte* segment(int pe) const {
+    assert(pe >= 0 && pe < npes());
+    return segments_[pe].data();
+  }
+
+  /// The PE whose fiber is running (fabric operations need one).
+  int current_pe() const {
+    sim::Fiber* f = engine_.current_fiber();
+    assert(f != nullptr && "fabric operations require a PE fiber context");
+    return f->pe();
+  }
 
   /// Enables the node-local shared-segment transport: same-node puts, gets,
   /// strided/scatter transfers, and AMOs complete via direct memory
@@ -364,7 +378,6 @@ class Domain {
   }
 
  private:
-  int current_pe() const;
   void note_outstanding(int src_pe, sim::Time t);
 
   // ---- node-local transport ----

@@ -52,12 +52,6 @@ void World::launch(std::function<void()> pe_main) {
   }
 }
 
-int World::my_pe() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "shmem calls require a PE fiber context");
-  return f->pe();
-}
-
 std::uint64_t World::sym_off(const void* ptr, const char* what) const {
   const auto* base = domain_->segment(my_pe());
   const auto* p = static_cast<const std::byte*>(ptr);

@@ -18,6 +18,7 @@
 // All methods must be called from a PE fiber (spawned via launch()).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -63,7 +64,11 @@ class World {
   void launch(std::function<void()> pe_main);
 
   // ---- setup & query (shmem_my_pe / shmem_n_pes) ----
-  int my_pe() const;
+  int my_pe() const {
+    sim::Fiber* f = engine_.current_fiber();
+    assert(f != nullptr && "shmem calls require a PE fiber context");
+    return f->pe();
+  }
   int n_pes() const { return domain_->npes(); }
   sim::Engine& engine() { return engine_; }
   fabric::Domain& domain() { return *domain_; }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "caf_test_util.hpp"
 
 using namespace apps::himeno;
@@ -99,4 +103,108 @@ TEST(Himeno, ElapsedIsDeterministic) {
   const Result b = run_himeno(Stack::kGasnet, 4, cfg);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_DOUBLE_EQ(a.gosa, b.gosa);
+}
+
+TEST(HimenoHalo, PutStreamPinnedAtTheBenchmarkDecomposition) {
+  // The four halo sections Solver::exchange_halos ships at 128^3 over 2048
+  // images, put from image 1 to image 17 (the next Stampede node). Message
+  // counts, coalesced runs and virtual put time are pinned per algorithm,
+  // so a change to the section walk cannot change what is sent.
+  Config base;
+  base.gx = base.gy = base.gz = 128;
+  const Config cfg = decompose(base, 2048);
+  const std::int64_t ly = cfg.gy / cfg.py;
+  const std::int64_t lz = cfg.gz / cfg.pz;
+  ASSERT_EQ(ly, 4);
+  ASSERT_EQ(lz, 2);
+  using caf::Section;
+  using caf::Triplet;
+  const caf::Shape shape{cfg.gx, ly + 2, lz + 2};
+  const Triplet all_x{1, cfg.gx, 1};
+  const Triplet int_y{2, ly + 1, 1};
+  const Triplet int_z{2, lz + 1, 1};
+  auto plane_y = [&](std::int64_t j) {
+    return Section{all_x, {j, j, 1}, int_z};
+  };
+  auto plane_z = [&](std::int64_t k) {
+    return Section{all_x, int_y, {k, k, 1}};
+  };
+  // (mine, theirs) for -y, +y, -z, +z.
+  const std::pair<Section, Section> halos[] = {
+      {plane_y(2), plane_y(ly + 2)},
+      {plane_y(ly + 1), plane_y(1)},
+      {plane_z(2), plane_z(lz + 2)},
+      {plane_z(lz + 1), plane_z(1)},
+  };
+  struct Pin {
+    std::size_t messages, coalesced;
+    std::uint64_t coalesced_runs;
+    sim::Time ns;
+  };
+  struct Case {
+    caf::StridedAlgo algo;
+    Pin pins[4];
+  };
+  // Measured at the per-element walk this pin was written against.
+  const Case cases[] = {
+      {caf::StridedAlgo::kNaive,
+       {{2, 0, 0, 1836}, {2, 0, 0, 1836}, {1, 3, 3, 2114}, {1, 3, 3, 2114}}},
+      {caf::StridedAlgo::kTwoDim,
+       {{2, 0, 0, 65161}, {2, 0, 0, 65161}, {4, 0, 0, 129161},
+        {4, 0, 0, 129161}}},
+      {caf::StridedAlgo::kAggregate,
+       {{2, 0, 0, 180}, {2, 0, 0, 180}, {1, 3, 3, 90}, {1, 3, 3, 90}}},
+      {caf::StridedAlgo::kAdaptive,
+       {{2, 0, 0, 1836}, {2, 0, 0, 1836}, {1, 3, 3, 2114}, {1, 3, 3, 2114}}},
+  };
+  for (const Case& cs : cases) {
+    caf::Options opts;
+    opts.strided = cs.algo;
+    if (cs.algo == caf::StridedAlgo::kAggregate) {
+      opts.rma.completion = caf::CompletionMode::kDeferred;
+      opts.rma.write_combining = true;
+    }
+    Harness h(Stack::kShmemMvapich, 18, opts, 1 << 20);
+    h.run([&] {
+      caf::Runtime& rt = h.rt();
+      auto p = caf::make_coarray<double>(rt, shape);
+      for (std::int64_t i = 0; i < p.size(); ++i) {
+        p.data()[i] = rt.this_image() * 1e6 + static_cast<double>(i);
+      }
+      rt.sync_all();
+      if (rt.this_image() == 1) {
+        std::vector<double> pack(static_cast<std::size_t>(cfg.gx * (ly + 2)));
+        for (int n = 0; n < 4; ++n) {
+          p.pack_local(pack.data(), halos[n].first);
+          rt.reset_stats();
+          const sim::Time t0 = h.engine().now();
+          const caf::StridedStats st =
+              p.put_section(17, halos[n].second, pack.data());
+          const Pin got{st.messages, st.coalesced, rt.stats().coalesced_runs,
+                        h.engine().now() - t0};
+          const Pin& want = cs.pins[n];
+          const std::string at = "algo " +
+                                 std::to_string(static_cast<int>(cs.algo)) +
+                                 " halo " + std::to_string(n);
+          EXPECT_EQ(got.messages, want.messages) << at;
+          EXPECT_EQ(got.coalesced, want.coalesced) << at;
+          EXPECT_EQ(got.coalesced_runs, want.coalesced_runs) << at;
+          EXPECT_EQ(got.ns, want.ns) << at;
+        }
+      }
+      rt.sync_all();
+      if (rt.this_image() == 17) {
+        // Each ghost plane holds image 1's matching interior plane.
+        for (const auto& [mine, theirs] : halos) {
+          const auto src = caf::linear_elements(caf::describe(shape, mine));
+          const auto dst = caf::linear_elements(caf::describe(shape, theirs));
+          ASSERT_EQ(src.size(), dst.size());
+          for (std::size_t k = 0; k < src.size(); ++k) {
+            ASSERT_EQ(p.data()[dst[k]], 1e6 + static_cast<double>(src[k]));
+          }
+        }
+      }
+      rt.sync_all();
+    });
+  }
 }

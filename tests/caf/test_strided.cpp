@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "caf_test_util.hpp"
 #include "sim/rng.hpp"
@@ -243,5 +245,130 @@ TEST(StridedProperty, RandomSectionsAllAlgorithmsAgree) {
     ASSERT_EQ(naive.remote, ref) << "trial " << trial;
     ASSERT_EQ(twodim.remote, ref) << "trial " << trial;
     ASSERT_LE(twodim.stats.messages, naive.stats.messages) << "trial " << trial;
+  }
+}
+
+namespace {
+
+/// Builds a Shape or Section of rank 1-7 from a runtime list.
+template <typename R, typename E, std::size_t... I>
+R braced(const std::vector<E>& v, std::index_sequence<I...>) {
+  return R{v[I]...};
+}
+template <typename R, typename E>
+R braced(const std::vector<E>& v) {
+  switch (v.size()) {
+    case 1: return braced<R>(v, std::make_index_sequence<1>{});
+    case 2: return braced<R>(v, std::make_index_sequence<2>{});
+    case 3: return braced<R>(v, std::make_index_sequence<3>{});
+    case 4: return braced<R>(v, std::make_index_sequence<4>{});
+    case 5: return braced<R>(v, std::make_index_sequence<5>{});
+    case 6: return braced<R>(v, std::make_index_sequence<6>{});
+    case 7: return braced<R>(v, std::make_index_sequence<7>{});
+  }
+  throw std::invalid_argument("braced: rank out of range");
+}
+
+/// Random sections of rank 1-4 (dim-0 stride 1 in every other case, 1-3
+/// otherwise; about one triplet in eight empty), plus a rank-7 section and
+/// two with an empty dimension 0.
+std::vector<std::pair<Shape, Section>> walker_cases() {
+  sim::Rng rng(24);
+  std::vector<std::pair<Shape, Section>> out;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int rank = 1 + static_cast<int>(rng.below(4));
+    std::vector<std::int64_t> extents;
+    std::vector<Triplet> dims;
+    for (int d = 0; d < rank; ++d) {
+      const auto e = 2 + static_cast<std::int64_t>(rng.below(rank > 2 ? 5 : 11));
+      const auto lo = 1 + static_cast<std::int64_t>(
+                              rng.below(static_cast<std::uint64_t>(e)));
+      auto hi = lo + static_cast<std::int64_t>(
+                         rng.below(static_cast<std::uint64_t>(e - lo + 1)));
+      const auto st = d == 0 && trial % 2 == 0
+                          ? 1
+                          : 1 + static_cast<std::int64_t>(rng.below(3));
+      if (rng.below(8) == 0) hi = lo - 1;
+      extents.push_back(e);
+      dims.push_back(Triplet{lo, hi, st});
+    }
+    out.emplace_back(braced<Shape>(extents), braced<Section>(dims));
+  }
+  out.emplace_back(Shape{3, 2, 4, 2, 3, 2, 2},
+                   Section{{1, 3, 2}, {1, 2, 1}, {2, 4, 2}, {1, 2, 1},
+                           {1, 3, 1}, {2, 2, 1}, {1, 2, 1}});
+  out.emplace_back(Shape{5, 4}, Section{{3, 2, 1}, {1, 4, 1}});
+  out.emplace_back(Shape{5, 4}, Section{{4, 3, 2}, {1, 4, 2}});
+  return out;
+}
+
+std::vector<int> contents(const Coarray<int>& x) {
+  return std::vector<int>(x.data(), x.data() + x.size());
+}
+
+}  // namespace
+
+TEST(RunWalkerProperty, PackUnpackAndCopiesMatchTheOracle) {
+  const auto cases = walker_cases();
+  for (StridedAlgo algo : {StridedAlgo::kNaive, StridedAlgo::kTwoDim}) {
+    Options opts;
+    opts.strided = algo;
+    Harness h(Stack::kShmemCray, 2, opts, 8 << 20);
+    h.run([&] {
+      Runtime& rt = h.rt();
+      const int me = rt.this_image();
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        const auto& [shape, sec] = cases[c];
+        auto x = make_coarray<int>(rt, shape);
+        auto y = make_coarray<int>(rt, shape);
+        const auto elems = linear_elements(describe(shape, sec));
+        std::vector<int> orig(static_cast<std::size_t>(x.size()));
+        std::iota(orig.begin(), orig.end(), me * 100'000);
+        std::copy(orig.begin(), orig.end(), x.data());
+        std::fill(y.data(), y.data() + y.size(), -1);
+
+        // pack_local is the oracle's gather, and writes nothing past it.
+        std::vector<int> packed(elems.size() + 1, -7);
+        x.pack_local(packed.data(), sec);
+        std::vector<int> gather(elems.size() + 1, -7);
+        for (std::size_t k = 0; k < elems.size(); ++k) {
+          gather[k] = orig[static_cast<std::size_t>(elems[k])];
+        }
+        EXPECT_EQ(packed, gather) << "case " << c;
+
+        // unpack_local is the oracle's scatter.
+        std::vector<int> src(elems.size());
+        std::iota(src.begin(), src.end(), -1'000'000);
+        x.unpack_local(sec, src.data());
+        std::vector<int> scatter = orig;
+        for (std::size_t k = 0; k < elems.size(); ++k) {
+          scatter[static_cast<std::size_t>(elems[k])] = src[k];
+        }
+        EXPECT_EQ(contents(x), scatter) << "case " << c;
+
+        // unpack(pack(x)) restores x.
+        x.unpack_local(sec, packed.data());
+        EXPECT_EQ(contents(x), orig) << "case " << c;
+        rt.sync_all();
+
+        // copy_section ships image 1's x(sec) into image 2's y(sec);
+        // copy_section_from brings it back into image 1's y(sec).
+        std::vector<int> want(orig.size(), -1);
+        for (const std::int64_t e : elems) {
+          want[static_cast<std::size_t>(e)] = 100'000 + static_cast<int>(e);
+        }
+        if (me == 1) copy_section(y, 2, sec, x, sec);
+        rt.sync_all();
+        if (me == 2) {
+          EXPECT_EQ(contents(y), want) << "case " << c;
+        }
+        rt.sync_all();
+        if (me == 1) {
+          copy_section_from(y, sec, y, 2, sec);
+          EXPECT_EQ(contents(y), want) << "case " << c;
+        }
+        rt.sync_all();
+      }
+    });
   }
 }
