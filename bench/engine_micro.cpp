@@ -43,6 +43,32 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1'000)->Arg(100'000);
 
+// One dissemination round as the event core sees it: N deliveries share one
+// nanosecond, and each schedules a same-time follow-up (the woken image's
+// turn) and a send about 150 ns later (its next round's put). Unlike the
+// throughput leg's one event per nanosecond, this is the burst shape that
+// `sync all`, barriers and Himeno's halo rounds give the queue.
+void round_delivery(void* eng_ptr, std::uint64_t i, std::uint64_t) {
+  auto& eng = *static_cast<sim::Engine*>(eng_ptr);
+  eng.schedule_raw(eng.sim_now(), &noop_event, nullptr);
+  eng.schedule_raw(eng.sim_now() + 150 + static_cast<sim::Time>(i % 16),
+                   &noop_event, nullptr);
+}
+
+void BM_DisseminationRound(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine eng;
+    for (int i = 0; i < n; ++i) {
+      eng.schedule_raw(1'000, &round_delivery, &eng, i);
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * n * 3);
+}
+BENCHMARK(BM_DisseminationRound)->Arg(1'024)->Arg(16'384);
+
 void BM_FiberSwitch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng(16 * 1024);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 namespace sim {
 
@@ -248,8 +249,16 @@ void Engine::run() {
   Engine* prev = g_current_engine;
   g_current_engine = this;
   try {
+#ifndef NDEBUG
+    std::pair<Time, std::uint64_t> last{-1, 0};
+#endif
     EventNode* n;
     while ((n = queue_.pop()) != nullptr) {
+#ifndef NDEBUG
+      // The queue's one contract: pops strictly ascend in (t, seq).
+      assert(std::pair(n->t, n->seq) > last && "event popped out of order");
+      last = {n->t, n->seq};
+#endif
       sim_now_ = n->t;
       ++events_processed_;
       switch (n->kind) {

@@ -9,7 +9,7 @@
 // identically.
 //
 // The hot path is allocation-free: events are typed nodes recycled through a
-// slab pool and ordered by a calendar queue (see sim/event_queue.hpp), and
+// slab pool and ordered by a timing wheel (see sim/event_queue.hpp), and
 // fiber stacks come from a lazy mmap pool (see sim/stack_pool.hpp). Every
 // layer schedules through schedule_raw / reserve_seq: a function pointer
 // plus a context and two integers, with any per-operation state in a pooled

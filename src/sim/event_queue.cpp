@@ -1,8 +1,6 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cassert>
 
 namespace sim {
 
@@ -38,83 +36,80 @@ void EventPool::grow() {
   bump_left_ = kSlabNodes;
 }
 
-CalendarQueue::CalendarQueue()
-    : buckets_(kInitialBuckets, nullptr), mask_(kInitialBuckets - 1) {}
+namespace {
 
-void CalendarQueue::refill() {
-  // Precondition: heap_ empty, size_ > 0 (so wheel and/or ladder has work).
-  if (in_wheel_ == 0) {
-    // Wheel is dry: jump the cursor to just before the earliest ladder
-    // event instead of sweeping empty ticks. The cursor only moves forward:
-    // ladder events were beyond the horizon when inserted, and the scan
-    // below never passes an occupied tick.
-    assert(!overflow_.empty());
-    cur_tick_ = tick_of(overflow_.front()->t) - 1;
+// Reverses a chain in place. Chains are pushed newest first; reversed, a
+// slot's chain is in ascending seq and a block's in push order.
+EventNode* reverse(EventNode* n) {
+  EventNode* out = nullptr;
+  while (n != nullptr) {
+    EventNode* next = n->next;
+    n->next = out;
+    out = n;
+    n = next;
   }
-  // Events whose ticks now fall inside the window migrate ladder -> wheel.
-  const std::int64_t window_end =
-      cur_tick_ + static_cast<std::int64_t>(buckets_.size());
-  while (!overflow_.empty() && tick_of(overflow_.front()->t) <= window_end) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), &later);
-    EventNode* n = overflow_.back();
-    overflow_.pop_back();
-    EventNode*& head =
-        buckets_[static_cast<std::uint64_t>(tick_of(n->t)) & mask_];
-    n->next = head;
-    head = n;
-    ++in_wheel_;
+  return out;
+}
+
+}  // namespace
+
+EventNode* CalendarQueue::Level::take(std::int64_t i) {
+  EventNode* chain = head[i];
+  head[i] = nullptr;
+  words[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  if (words[i >> 6] == 0) summary &= ~(std::uint64_t{1} << (i >> 6));
+  return chain;
+}
+
+std::int64_t CalendarQueue::Level::next(std::int64_t from) const {
+  const std::int64_t w = from >> 6;
+  if (const std::uint64_t m = words[w] & (~std::uint64_t{0} << (from & 63))) {
+    return (w << 6) | std::countr_zero(m);
   }
-  // Advance to the next occupied bucket; guaranteed within one window.
-  for (;;) {
-    ++cur_tick_;
-    EventNode*& head = buckets_[static_cast<std::uint64_t>(cur_tick_) & mask_];
-    if (head != nullptr) {
-      for (EventNode* n = head; n != nullptr; n = n->next) {
-        heap_.push_back(n);
-        --in_wheel_;
-      }
-      head = nullptr;
-      std::make_heap(heap_.begin(), heap_.end(), &later);
-      return;
-    }
+  // Words after w, else wrap around to the first occupied word.
+  std::uint64_t after = w == 63 ? 0 : summary & (~std::uint64_t{0} << (w + 1));
+  if (after == 0) after = summary;
+  const std::int64_t first = std::countr_zero(after);
+  return (first << 6) | std::countr_zero(words[first]);
+}
+
+CalendarQueue::CalendarQueue()
+    : l0_(std::make_unique<Level>()), l1_(std::make_unique<Level>()) {}
+
+void CalendarQueue::enter(std::int64_t block) {
+  blk_ = block;
+  while (!far_.empty() && (far_.front().t >> kBits) - blk_ < kSlots) {
+    place(heap_pop(far_));
   }
 }
 
-void CalendarQueue::rebuild() {
-  std::vector<EventNode*> all;
-  all.reserve(size_);
-  all.insert(all.end(), heap_.begin(), heap_.end());
-  all.insert(all.end(), overflow_.begin(), overflow_.end());
-  for (EventNode* head : buckets_) {
-    for (EventNode* n = head; n != nullptr; n = n->next) all.push_back(n);
+void CalendarQueue::refill() {
+  // Precondition: the drain FIFO is empty. Leaves it empty only when the
+  // wheel and the far heap are, so that only the side heap holds events.
+  for (;;) {
+    if (l0_->summary != 0) {
+      const std::int64_t i = l0_->next(0);
+      now_ = (blk_ << kBits) | i;
+      fifo_tail_ = l0_->take(i);
+      fifo_head_ = reverse(fifo_tail_);
+      return;
+    }
+    if (l1_->summary != 0) {
+      // Cascade the next occupied block into level 0, in push order.
+      const std::int64_t i = l1_->next((blk_ + 1) & kMask);
+      EventNode* n = reverse(l1_->take(i));
+      enter(blk_ + ((i - blk_) & kMask));
+      while (n != nullptr) {
+        EventNode* next = n->next;
+        put0(n);
+        n = next;
+      }
+      continue;
+    }
+    if (far_.empty()) return;
+    // The wheel is dry: jump the cursor to the earliest far event.
+    enter(far_.front().t >> kBits);
   }
-  heap_.clear();
-  overflow_.clear();
-  in_wheel_ = 0;
-
-  Time min_t = all.front()->t;
-  Time max_t = min_t;
-  for (const EventNode* n : all) {
-    min_t = std::min(min_t, n->t);
-    max_t = std::max(max_t, n->t);
-  }
-  // Retune the bucket width to ~4x the mean inter-event gap — a handful of
-  // events per tick amortizes the per-tick refill work without making the
-  // drain heap deep — and grow the wheel to cover the whole active span,
-  // so the steady-state ladder holds only genuinely far-future stragglers.
-  const std::uint64_t span = static_cast<std::uint64_t>(max_t - min_t);
-  const std::uint64_t gap = span / all.size();
-  lw_ = std::min(40, static_cast<int>(std::bit_width(gap | 1)) + 1);
-  const std::size_t span_ticks = static_cast<std::size_t>(span >> lw_);
-  const std::size_t want = std::min(
-      kMaxBuckets,
-      std::bit_ceil(std::max({all.size(), span_ticks, kInitialBuckets})));
-  buckets_.assign(want, nullptr);
-  mask_ = want - 1;
-  cur_tick_ = tick_of(min_t) - 1;
-
-  size_ = all.size();
-  for (EventNode* n : all) insert(n);
 }
 
 }  // namespace sim

@@ -14,20 +14,26 @@
 //   * EventPool — slab allocator with a free list. Steady-state
 //     scheduling recycles nodes and never touches the heap; the
 //     hit/miss/slab counters let tests assert exactly that.
-//   * CalendarQueue — a calendar/ladder queue: a power-of-two wheel of
-//     buckets covering the near future (bucket = time >> lw_), a small
-//     min-heap for the bucket currently being drained, and a sorted
-//     overflow ladder (binary heap) for events beyond the wheel horizon.
-//     Push and pop are O(1) amortized when events are roughly uniform in
-//     time, and never worse than O(log n).
+//   * CalendarQueue — a two-level hashed and hierarchical timing wheel
+//     (Varghese & Lauck, SOSP '87) with fixed sizes. Level 0 has one slot
+//     per nanosecond of the current aligned 2^12-ns block; level 1 has one
+//     chain per block for the next 2^12 blocks and cascades a block into
+//     level 0 when the cursor enters it. The nanosecond being drained sits
+//     in a FIFO that same-time follow-ups append to in O(1). Two small
+//     heaps take the rest: the side heap, pushes whose seq is below their
+//     slot's newest (older seqs taken with Engine::reserve_seq), and the
+//     far heap, events beyond level 1. Simulated synchronization schedules
+//     bursts of events at one nanosecond in ascending seq; a slot chain
+//     keeps them in pop order at the cost of one seq comparison a push.
 //
 // Determinism: pop order is *exactly* ascending (t, seq) — identical to
 // the old priority queue — regardless of how events are distributed over
-// wheel/heap/ladder internally. Same program + same seed still executes
+// wheel, FIFO and heaps internally. Same program + same seed still executes
 // identically, byte for byte.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,7 +69,8 @@ struct EventNode {
     } raw;
     EventNode* next_free;  ///< free-list link while the node is pooled
   } u;
-  EventNode* next;  ///< intrusive bucket-chain link while queued in the wheel
+  EventNode* next;  ///< intrusive link while queued in a wheel slot or block
+                    ///< chain, or in the drain FIFO
   Kind kind;
 };
 
@@ -124,8 +131,10 @@ class EventPool {
   std::uint64_t slab_allocs_ = 0;  ///< slabs that actually hit the heap
 };
 
-/// Calendar queue over EventNode*. See file comment for the structure; the
-/// only contract is pop() returns nodes in ascending (t, seq) order.
+/// Two-level timing wheel over EventNode*. See the file comment for the
+/// structure; the only contract is that pop() returns nodes in ascending
+/// (t, seq) order. The engine pushes no t below the last pop's (it clamps to
+/// sim_now); such a push would still pop in order, through the side heap.
 class CalendarQueue {
  public:
   CalendarQueue();
@@ -138,88 +147,122 @@ class CalendarQueue {
   std::size_t size() const { return size_; }
 
  private:
-  static constexpr std::size_t kInitialBuckets = 256;
-  static constexpr std::size_t kMaxBuckets = 1u << 20;
+  static constexpr int kBits = 12;
+  static constexpr std::int64_t kSlots = std::int64_t{1} << kBits;
+  static constexpr std::int64_t kMask = kSlots - 1;
 
+  /// One wheel level: a chain head per slot (linked via EventNode::next)
+  /// and a two-level occupancy bitmap, so finding the next occupied slot is
+  /// two count-trailing-zeros.
+  struct Level {
+    EventNode* head[kSlots];
+    std::uint64_t words[kSlots / 64];
+    std::uint64_t summary;
+
+    void link(std::int64_t i, EventNode* n) {
+      n->next = head[i];
+      head[i] = n;
+      words[i >> 6] |= std::uint64_t{1} << (i & 63);
+      summary |= std::uint64_t{1} << (i >> 6);
+    }
+    EventNode* take(std::int64_t i);
+    /// First occupied slot at or after `from`, wrapping around; the level
+    /// must not be empty.
+    std::int64_t next(std::int64_t from) const;
+  };
+
+  /// Heap entry: the key inline, so sifting never touches a node.
+  struct Key {
+    Time t;
+    std::uint64_t seq;
+    EventNode* n;
+  };
   /// True when a should pop after b — min-heap comparator over (t, seq).
-  static bool later(const EventNode* a, const EventNode* b) {
-    if (a->t != b->t) return a->t > b->t;
-    return a->seq > b->seq;
+  static bool later(const Key& a, const Key& b) {
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+  }
+  static void heap_push(std::vector<Key>& h, EventNode* n) {
+    h.push_back(Key{n->t, n->seq, n});
+    std::push_heap(h.begin(), h.end(), &later);
+  }
+  static EventNode* heap_pop(std::vector<Key>& h) {
+    std::pop_heap(h.begin(), h.end(), &later);
+    EventNode* n = h.back().n;
+    h.pop_back();
+    return n;
   }
 
-  std::int64_t tick_of(Time t) const { return static_cast<std::int64_t>(t) >> lw_; }
+  void place(EventNode* n);  // push minus the drain-FIFO append
+  void put0(EventNode* n);   // into a level-0 slot, or the side heap
+  void enter(std::int64_t block);  // move the cursor, pull in far events
+  void refill();  // load the next occupied nanosecond into the drain FIFO
 
-  void insert(EventNode* n);  // push minus the resize triggers
-  void refill();              // advance the cursor to the next occupied tick
-  void rebuild();             // regrow the wheel / retune the bucket width
-
-  bool wants_rebuild() const {
-    // Grow when occupancy outstrips the wheel, or when the ladder holds
-    // more than a wheel's worth of "far" events (the active span outgrew
-    // the window and pops would churn the ladder heap).
-    return buckets_.size() < kMaxBuckets &&
-           (size_ > buckets_.size() * 2 || overflow_.size() > buckets_.size());
-  }
-
-  int lw_ = 6;  ///< log2 bucket width in ns; retuned by rebuild()
-  /// The wheel: one intrusive LIFO chain of nodes per bucket (linked via
-  /// EventNode::next). Chains are unordered; the drain heap restores the
-  /// (t, seq) total order, so pop order never depends on chain layout.
-  std::vector<EventNode*> buckets_;
-  std::size_t mask_;
-  /// Tick whose bucket is currently drained through heap_. Events at ticks
-  /// <= cur_tick_ go straight to heap_; (cur_tick_, cur_tick_ + B] to the
-  /// wheel; later ones to the overflow ladder.
-  std::int64_t cur_tick_ = -1;
-  std::vector<EventNode*> heap_;      ///< min-heap, current bucket + stragglers
-  std::vector<EventNode*> overflow_;  ///< min-heap ladder beyond the horizon
-  std::size_t in_wheel_ = 0;
+  std::unique_ptr<Level> l0_;  ///< nanoseconds of block blk_
+  std::unique_ptr<Level> l1_;  ///< blocks (blk_, blk_ + kSlots), by block
+  std::int64_t blk_ = 0;       ///< the block level 0 covers
+  Time now_ = -1;              ///< the nanosecond in the drain FIFO
+  /// Nodes at now_ in ascending seq, linked via EventNode::next.
+  EventNode* fifo_head_ = nullptr;
+  EventNode* fifo_tail_ = nullptr;
+  std::vector<Key> side_;  ///< pushes below their slot's or FIFO's newest seq
+  std::vector<Key> far_;   ///< events beyond level 1
   std::size_t size_ = 0;
 };
 
 // ---- hot-path definitions (kept in the header so the engine's scheduling
 // ---- sites inline them) ----
 
-inline void CalendarQueue::insert(EventNode* n) {
-  const std::int64_t tk = tick_of(n->t);
-  if (tk - cur_tick_ <= static_cast<std::int64_t>(buckets_.size())) {
-    if (tk <= cur_tick_) {
-      // At or behind the drain cursor (same-time follow-up events the
-      // engine clamped to sim_now): merge into the current min-heap.
-      heap_.push_back(n);
-      std::push_heap(heap_.begin(), heap_.end(), &later);
-    } else {
-      EventNode*& head = buckets_[static_cast<std::uint64_t>(tk) & mask_];
-      n->next = head;
-      head = n;
-      ++in_wheel_;
-    }
+inline void CalendarQueue::put0(EventNode* n) {
+  const std::int64_t i = n->t & kMask;
+  const EventNode* newest = l0_->head[i];
+  if (newest != nullptr && n->seq < newest->seq) {
+    heap_push(side_, n);
   } else {
-    overflow_.push_back(n);
-    std::push_heap(overflow_.begin(), overflow_.end(), &later);
+    l0_->link(i, n);
+  }
+}
+
+inline void CalendarQueue::place(EventNode* n) {
+  if (n->t <= now_) {
+    heap_push(side_, n);
+    return;
+  }
+  const std::int64_t b = n->t >> kBits;
+  assert(b >= blk_);
+  if (b == blk_) {
+    put0(n);
+  } else if (b - blk_ < kSlots) {
+    l1_->link(b & kMask, n);
+  } else {
+    heap_push(far_, n);
   }
 }
 
 inline void CalendarQueue::push(EventNode* n) {
   ++size_;
-  insert(n);
-  if (wants_rebuild()) rebuild();
+  // A same-time follow-up of the nanosecond being drained: O(1) append.
+  if (n->t == now_ && (fifo_tail_ == nullptr || n->seq > fifo_tail_->seq)) {
+    n->next = nullptr;
+    (fifo_tail_ != nullptr ? fifo_tail_->next : fifo_head_) = n;
+    fifo_tail_ = n;
+    return;
+  }
+  place(n);
 }
 
 inline EventNode* CalendarQueue::pop() {
-  if (heap_.empty()) {
+  if (fifo_head_ == nullptr) {
     if (size_ == 0) return nullptr;
     refill();
   }
   --size_;
-  if (heap_.size() == 1) {
-    EventNode* n = heap_.front();
-    heap_.clear();
-    return n;
+  EventNode* n = fifo_head_;
+  if (!side_.empty() &&
+      (n == nullptr || later(Key{n->t, n->seq, n}, side_.front()))) {
+    return heap_pop(side_);
   }
-  std::pop_heap(heap_.begin(), heap_.end(), &later);
-  EventNode* n = heap_.back();
-  heap_.pop_back();
+  fifo_head_ = n->next;
+  if (fifo_head_ == nullptr) fifo_tail_ = nullptr;
   return n;
 }
 
