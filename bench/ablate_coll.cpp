@@ -22,9 +22,10 @@
 //                  store-and-forwarding whole slots.
 //
 // Machines: Stampede/MVAPICH2-X (16 cores/node) and XC30/Cray-SHMEM
-// (24 cores/node, intra-node direct load/store enabled) — the paper's two
-// main platforms. Native collective mappings are disabled so the engine
-// itself is measured on both stacks.
+// (24 cores/node) — the paper's two main platforms, both with the
+// node-local transport on, so intra-node stages ride its shared-segment
+// rings. Native collective mappings are disabled so the engine itself is
+// measured on both stacks.
 //
 // `--json PATH` writes the series plus the @64-image speedups the CI gate
 // checks (BENCH_coll.json).
@@ -35,7 +36,6 @@
 
 #include "apps/driver.hpp"
 #include "bench_util.hpp"
-#include "caf/shmem_conduit.hpp"
 
 namespace {
 
@@ -44,6 +44,7 @@ enum class Arm { kBaseline, kBinomial, kFlat, kAutoSel };
 caf::Options arm_opts(Arm a) {
   caf::Options o;
   o.use_native_collectives = false;  // measure the engine on every stack
+  o.node.enabled = true;
   switch (a) {
     case Arm::kBaseline:
       o.coll.broadcast = caf::CollAlgo::kBinomial;
@@ -78,9 +79,6 @@ constexpr Platform kPlatforms[] = {
 /// Virtual time for `reps` rounds of an 8-byte co_sum across `images`.
 sim::Time allreduce8_time(const Platform& p, Arm arm, int images) {
   driver::Stack stack(p.kind, images, p.machine, 2 << 20, arm_opts(arm));
-  if (auto* sc = dynamic_cast<caf::ShmemConduit*>(&stack.rt().conduit())) {
-    sc->set_intra_node_direct(true);
-  }
   std::vector<sim::Time> elapsed(static_cast<std::size_t>(images), 0);
   stack.run([&](caf::Runtime& rt) {
     rt.sync_all();
@@ -102,9 +100,6 @@ sim::Time allreduce8_time(const Platform& p, Arm arm, int images) {
 sim::Time bcast1m_time(const Platform& p, Arm arm, int images) {
   constexpr std::size_t kElems = (1 << 20) / sizeof(std::int64_t);
   driver::Stack stack(p.kind, images, p.machine, (4 << 20), arm_opts(arm));
-  if (auto* sc = dynamic_cast<caf::ShmemConduit*>(&stack.rt().conduit())) {
-    sc->set_intra_node_direct(true);
-  }
   std::vector<sim::Time> elapsed(static_cast<std::size_t>(images), 0);
   stack.run([&](caf::Runtime& rt) {
     std::vector<std::int64_t> data(kElems, rt.this_image());

@@ -133,6 +133,12 @@ def selftest():
         # Axis identity and the default tolerance still apply.
         ("axis mismatch", run(base, {**base, "images": 16}), 1),
         ("default tolerance", run(base, {**base, "bw_mbs": 95}), 0),
+        # Exact gating of deterministic records: at --tolerance 0 an
+        # identical file passes and a 1-unit worsening fails.
+        ("zero tolerance identical",
+         run(base, dict(base), ["--tolerance", "0"]), 0),
+        ("zero tolerance 1-unit worse",
+         run(base, {**base, "bw_mbs": 99}, ["--tolerance", "0"]), 1),
     ]
     failed = [name for name, got, want in checks if got != want]
     for name, got, want in checks:

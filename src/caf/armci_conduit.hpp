@@ -67,10 +67,6 @@ class ArmciConduit final : public Conduit {
   }
   void do_barrier() override { world_.barrier(); }
 
-  bool direct_reachable(int target) override {
-    return node_transport_reachable(target);
-  }
-
   fabric::Domain* rma_domain() override { return &world_.domain(); }
 
   armci::World& world() { return world_; }

@@ -133,8 +133,7 @@ void CollectiveEngine::init() {
 // Helpers
 // ---------------------------------------------------------------------------
 
-void CollectiveEngine::count_msg(int target, std::size_t n) {
-  (void)n;
+void CollectiveEngine::count_msg(int target) {
   CollTelemetry& t = state().tele;
   if (node_of(target) == node_of(me())) {
     ++t.intra_node_msgs;
@@ -148,7 +147,7 @@ void CollectiveEngine::send_payload(int target, std::uint64_t slot_off,
                                     const void* src, std::size_t n,
                                     std::uint64_t flag_off, std::int64_t gen) {
   if (n > 0) {  // only team operations stage empty payloads
-    count_msg(target, n);
+    count_msg(target);
     conduit_.put(target, slot_off, src, n, /*nbi=*/true);
     if (!opts_.per_target_completion) {
       // Pre-engine sequence: remote-complete the payload before releasing
@@ -156,12 +155,12 @@ void CollectiveEngine::send_payload(int target, std::uint64_t slot_off,
       conduit_.quiet();
     }
   }
-  count_msg(target, sizeof gen);
+  count_msg(target);
   conduit_.put(target, flag_off, &gen, sizeof gen, /*nbi=*/true);
 }
 
 void CollectiveEngine::put_i64(int target, std::uint64_t off, std::int64_t v) {
-  count_msg(target, sizeof v);
+  count_msg(target);
   conduit_.put(target, off, &v, sizeof v, /*nbi=*/true);
 }
 
@@ -539,7 +538,7 @@ void CollectiveEngine::reduce_flat(
     // Stage locally, announce arrival; the result broadcast below doubles
     // as the release (the root only reads slots before it sends).
     std::memcpy(local(slot), data, nbytes);
-    count_msg(0, sizeof(std::int64_t));
+    count_msg(0);
     (void)conduit_.amo_fadd(0, flat_ctr_off_, 1);
   } else {
     wait_ge(flat_ctr_off_, static_cast<std::int64_t>(n_ - 1) * fc);
@@ -731,12 +730,12 @@ void CollectiveEngine::pipe_bcast(void* data, std::size_t nbytes, int root0,
                 chunk_mark(gen, c - static_cast<std::size_t>(D)));
       }
       const int child = phys(t.child[k]);
-      count_msg(child, len);
+      count_msg(child);
       conduit_.put(child, pd_bank(static_cast<int>(c) % D), src, len,
                    /*nbi=*/true);
       if (!opts_.per_target_completion) conduit_.quiet();
       const std::int64_t m = chunk_mark(gen, c);
-      count_msg(child, sizeof m);
+      count_msg(child);
       conduit_.put(child, pd_flag_off_, &m, sizeof m, /*nbi=*/true);
       ++state().tele.chunks_pipelined;
     }
@@ -785,12 +784,12 @@ void CollectiveEngine::pipe_allreduce(
       if (c >= static_cast<std::size_t>(D)) {
         wait_ge(pu_ack_off_, chunk_mark(gen, c - static_cast<std::size_t>(D)));
       }
-      count_msg(t.parent, len);
+      count_msg(t.parent);
       conduit_.put(t.parent, pu_bank(t.my_slot, static_cast<int>(c) % D), ptr,
                    len, /*nbi=*/true);
       if (!opts_.per_target_completion) conduit_.quiet();
       const std::int64_t m = chunk_mark(gen, c);
-      count_msg(t.parent, sizeof m);
+      count_msg(t.parent);
       conduit_.put(t.parent,
                    pu_flag_off_ + static_cast<std::uint64_t>(t.my_slot) * 8,
                    &m, sizeof m, /*nbi=*/true);
@@ -1063,7 +1062,7 @@ void CollectiveEngine::send_mark(int target, std::int64_t mark,
   const int idx = team_ident(target, me());
   try {
     if (prev != nullptr && !prev->bytes.empty()) {
-      count_msg(target, prev->bytes.size());
+      count_msg(target);
       conduit_.put(target, mark_slot(idx) + kTeamChunk, prev->bytes.data(),
                    prev->bytes.size(), /*nbi=*/true);
     }
@@ -1134,7 +1133,7 @@ void CollectiveEngine::barrier() {
   const int nm = node_members(my_node);
   const int lead = base;
   if (me() != lead) {
-    count_msg(lead, sizeof(std::int64_t));
+    count_msg(lead);
     (void)conduit_.amo_fadd(lead, bar_gather_off_, 1);
     wait_ge(bar_release_off_, bg);
     return;

@@ -11,9 +11,9 @@
 //   * kBinomial          — classic binomial tree over all images (the
 //                          pre-engine algorithm, kept as an arm).
 //   * kTwoLevel          — node-leader hierarchy: intra-node stage over
-//                          shmem_ptr-class direct copies when the conduit
-//                          reports direct_reachable(), k-nomial tree across
-//                          node leaders for the inter-node stage.
+//                          the node transport's shared-segment copies when
+//                          it is on (Conduit::direct_reachable()), k-nomial
+//                          tree across node leaders for the inter-node stage.
 //   * kRecursiveDoubling — allreduce without a root for small payloads
 //                          (log2 P rounds instead of reduce + broadcast).
 //   * kPipelined         — segmented streaming through a contiguous binary
@@ -301,7 +301,7 @@ class CollectiveEngine {
   void send_payload(int target, std::uint64_t slot_off, const void* src,
                     std::size_t n, std::uint64_t flag_off, std::int64_t gen);
   void put_i64(int target, std::uint64_t off, std::int64_t v);
-  void count_msg(int target, std::size_t n);
+  void count_msg(int target);
   /// Flag wait of the full-machine arms. A failure wake-up inside a team
   /// operation's arm throws (team_op catches it and re-runs the operation
   /// failure-aware); plain collectives keep waiting, as before.

@@ -60,26 +60,21 @@ class Conduit {
   /// active-message emulations (GASNet).
   virtual bool native_amo() const = 0;
 
-  /// True when `target`'s segment is directly load/store addressable from
-  /// the calling rank — same node and the conduit has it mapped (e.g.
-  /// shmem_ptr with the intra-node-direct optimization enabled). Layers
-  /// above (the hierarchical collectives engine) use this capability query
-  /// to replace intra-node network messages with host copies; the default
-  /// is conservative.
-  virtual bool direct_reachable(int /*target*/) { return false; }
-
   /// The fabric::Domain this conduit's RMA rides on, or nullptr for
   /// conduits without one (caf::Runtime needs one: it resolves local
   /// addresses through it). Lets the runtime enable Domain-level features
   /// (the node-local shared-segment transport) and lets pricing layers
-  /// (the collectives selector, caf::NodeHeap) query its state without
-  /// knowing the concrete conduit type.
+  /// (the collectives selector) query its state without knowing the
+  /// concrete conduit type.
   virtual fabric::Domain* rma_domain() { return nullptr; }
 
-  /// True when the node-local shared-segment transport is active and
-  /// `target` shares the calling rank's node: same-node RMA to it completes
-  /// via memcpy/SPSC rings with zero fabric messages.
-  bool node_transport_reachable(int target) {
+  /// True when `target`'s segment is directly load/store addressable from
+  /// the calling rank: the node-local shared-segment transport is active
+  /// and `target` shares the calling rank's node, so same-node RMA to it
+  /// completes via memcpy/SPSC rings with zero fabric messages. The one
+  /// same-node query; layers above (the hierarchical collectives engine)
+  /// use it to account intra-node stages.
+  bool direct_reachable(int target) {
     fabric::Domain* d = rma_domain();
     return d != nullptr && d->node_transport() != nullptr &&
            d->fabric().same_node(rank(), target);

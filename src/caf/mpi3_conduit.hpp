@@ -45,10 +45,6 @@ class Mpi3Conduit final : public Conduit {
     win_.domain().poke(rank, off, src, n, t);
   }
 
-  bool direct_reachable(int target) override {
-    return node_transport_reachable(target);
-  }
-
   fabric::Domain* rma_domain() override { return &win_.domain(); }
 
   // MPI_Fetch_and_op / MPI_Compare_and_swap: native on the window.

@@ -29,7 +29,6 @@
 
 #include "caf/collectives.hpp"
 #include "caf/conduit.hpp"
-#include "caf/node_heap.hpp"
 #include "caf/remote_ptr.hpp"
 #include "caf/section.hpp"
 #include "net/fault.hpp"
@@ -223,10 +222,6 @@ class Runtime {
   int num_images() const { return conduit_.nranks(); }
 
   Conduit& conduit() { return conduit_; }
-  /// CAF-layer view of the per-node shared symmetric heap (direct-pointer
-  /// resolution, NUMA topology queries). Cheap to construct; valid whether
-  /// or not the node transport is enabled — check NodeHeap::enabled().
-  NodeHeap node_heap() { return NodeHeap(conduit_); }
   const Options& options() const { return opts_; }
   void set_strided_algo(StridedAlgo a) { opts_.strided = a; }
   /// The topology-aware collectives engine (valid after init(); null before).

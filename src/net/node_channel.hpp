@@ -174,7 +174,7 @@ class NodeChannel {
                       extra_copy};
   }
 
-  // ---- introspection (tests, NodeHeap) ----
+  // ---- introspection (tests, benches) ----
 
   std::uint64_t ring_pushes() const { return pushes_; }
   std::uint64_t ring_stalls() const { return stalls_; }

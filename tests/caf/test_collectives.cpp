@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "caf/collectives.hpp"
-#include "caf/shmem_conduit.hpp"
 #include "caf_test_util.hpp"
 
 using caf::CollAlgo;
@@ -269,26 +268,36 @@ TEST(CollEngine, TwoLevelBroadcastBeatsBinomialAcrossNodes) {
 }
 
 TEST(CollEngine, IntraNodeStagesUseDirectPath) {
-  // Cray SHMEM with shmem_ptr enabled: the two-level gather/fan-out stages
-  // within a node are direct load/store-reachable, and the telemetry
-  // records it.
-  Harness h(Stack::kShmemCray, 6,
-            coll_opts(CollAlgo::kTwoLevel, CollAlgo::kTwoLevel));
-  h.run([&] {
-    auto& cd = dynamic_cast<caf::ShmemConduit&>(h.rt().conduit());
-    cd.set_intra_node_direct(true);
-    auto& rt = h.rt();
-    std::int64_t v = rt.this_image();
-    rt.co_sum(&v, 1);
-    EXPECT_EQ(v, 21);
-    rt.sync_all();
-    const auto& tele = rt.coll_engine()->telemetry();
-    if (rt.this_image() != 1) {  // every non-leader sent intra-node
-      EXPECT_GT(tele.intra_node_msgs, 0u);
-      EXPECT_EQ(tele.direct_intra_msgs, tele.intra_node_msgs);
+  // Every stack, transport on and off: with the node transport on, the
+  // two-level gather/fan-out stages within a node are direct
+  // load/store-reachable and the telemetry records it; with it off, no
+  // intra-node message counts as direct.
+  for (const Stack stack : caftest::kAllStacks) {
+    for (const bool node_on : {true, false}) {
+      SCOPED_TRACE(std::string(caftest::to_string(stack)) +
+                   (node_on ? " transport on" : " transport off"));
+      caf::Options opts = coll_opts(CollAlgo::kTwoLevel, CollAlgo::kTwoLevel);
+      opts.node.enabled = node_on;
+      Harness h(stack, 6, opts);
+      h.run([&] {
+        auto& rt = h.rt();
+        std::int64_t v = rt.this_image();
+        rt.co_sum(&v, 1);
+        EXPECT_EQ(v, 21);
+        rt.sync_all();
+        const auto& tele = rt.coll_engine()->telemetry();
+        if (rt.this_image() != 1) {  // every non-leader sent intra-node
+          EXPECT_GT(tele.intra_node_msgs, 0u);
+        }
+        if (!node_on) {
+          EXPECT_EQ(tele.direct_intra_msgs, 0u);
+        } else if (rt.this_image() != 1) {
+          EXPECT_EQ(tele.direct_intra_msgs, tele.intra_node_msgs);
+        }
+        EXPECT_EQ(tele.inter_node_msgs, 0u);  // single node: nothing crossed
+      });
     }
-    EXPECT_EQ(tele.inter_node_msgs, 0u);  // single node: nothing crossed
-  });
+  }
 }
 
 TEST(CollEngine, HierarchicalBarrierSynchronizes) {

@@ -6,10 +6,12 @@
 //     the node.elided_msgs family;
 //   * cross-conduit conformance at non-pow2 image counts, transport on;
 //   * SPSC ring backpressure/wraparound visible through the obs counters;
-//   * same-node peer kill mid-put surfaces as kStatFailedImage;
+//   * same-node peer kill mid-put surfaces as kStatFailedImage on every
+//     conduit;
 //   * same-seed reruns stay byte-identical with the transport on, and the
 //     on/off choice is itself observable in the recorded state;
-//   * the caf::NodeHeap facade (direct pointers, NUMA queries, stats).
+//   * the same-node query (Conduit::direct_reachable) and the node and NUMA
+//     topology seen through Domain::node_transport().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -64,6 +66,7 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
 // single message entering the fabric.
 TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
   const int images = 8;
+  sim::Time sent_at = 0;
   obs::enable({});  // record kMsgWire events (there must be none)
   {
     Harness h(Stack::kShmemCray, images, node_on());
@@ -101,6 +104,18 @@ TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
         EXPECT_EQ(acc, 14);
       }
       c.barrier();
+      // A same-node store still wakes a waiter parked on the word it writes.
+      const std::uint64_t flag = off + 128;
+      if (c.rank() == 0) {
+        h.engine().advance(10'000);
+        sent_at = h.engine().now();
+        const std::int64_t nine = 9;
+        c.put(3, flag, &nine, sizeof nine, /*nbi=*/false);
+      } else if (c.rank() == 3) {
+        c.wait_until(flag, Cmp::kEq, 9);
+        EXPECT_GE(h.engine().now(), sent_at);
+      }
+      c.barrier();
     });
     // Zero fabric messages for the entire run — barriers, the collective
     // allocator, and the explicit RMA above all rode the node transport.
@@ -117,28 +132,79 @@ TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
 }
 
 // A multi-node layout still elides only the same-node pairs: traffic to the
-// second node keeps using the fabric.
+// second node keeps using the fabric, costs the same as with the transport
+// off, and reads back what was written on either path.
 TEST(NodeTransport, CrossNodeTrafficStillUsesTheFabric) {
   const int images = 26;  // XC30: 24 images on node 0, 2 on node 1
+  const int far = 24;     // first rank of node 1
+  sim::Time far_put[2] = {0, 0};  // [transport on, transport off]
   obs::enable({});
-  {
-    Harness h(Stack::kShmemCray, images, node_on());
+  for (const bool on : {true, false}) {
+    caf::Options opts;
+    opts.node.enabled = on;
+    Harness h(Stack::kShmemCray, images, opts);
     h.run([&] {
       Conduit& c = h.rt().conduit();
       const std::uint64_t off = c.allocate(64);
       c.barrier();
       if (c.rank() == 0) {
+        EXPECT_EQ(c.direct_reachable(1), on);
+        EXPECT_FALSE(c.direct_reachable(far));
         std::int64_t v = 9;
-        c.put(1, off, &v, sizeof v, false);   // same node: elided
-        c.put(25, off, &v, sizeof v, false);  // node 1: real fabric message
+        c.put(1, off, &v, sizeof v, false);  // same node: elided
+        const sim::Time t0 = h.engine().now();
+        c.put(far, off, &v, sizeof v, false);  // node 1: fabric message
+        far_put[on ? 0 : 1] = h.engine().now() - t0;
         c.quiet();
+        for (const int peer : {1, far}) {
+          std::int64_t got = 0;
+          c.get(&got, peer, off, sizeof got);
+          EXPECT_EQ(got, 9) << "peer " << peer;
+        }
+
+        // Strided and vectored puts: node 1 stays off the node counters.
+        const std::uint64_t strided0 = obs::registry().value(0, "node.strided");
+        const std::uint64_t scatters0 =
+            obs::registry().value(0, "node.scatters");
+        const int src[3] = {11, 22, 33};
+        const std::uint64_t soff = off + 16;
+        for (const int peer : {1, far}) {
+          c.iput(peer, soff, /*dst_stride=*/2, src, /*src_stride=*/1,
+                 sizeof(int), 3);
+          c.quiet();
+          int got[3] = {};
+          c.iget(got, /*dst_stride=*/1, peer, soff, /*src_stride=*/2,
+                 sizeof(int), 3);
+          EXPECT_EQ(got[0], 11) << "peer " << peer;
+          EXPECT_EQ(got[2], 33) << "peer " << peer;
+          const int pay[2] = {7, 9};
+          const fabric::ScatterRec recs[2] = {
+              {soff + 4, sizeof(int), 0},
+              {soff + 36, sizeof(int), sizeof(int)},
+          };
+          c.put_scatter(peer, recs, 2, pay, sizeof pay);
+          c.quiet();
+          int a = 0, b = 0;
+          c.get(&a, peer, soff + 4, sizeof a);
+          c.get(&b, peer, soff + 36, sizeof b);
+          EXPECT_EQ(a, 7) << "peer " << peer;
+          EXPECT_EQ(b, 9) << "peer " << peer;
+        }
+        // Cray SHMEM strides in hardware: the same-node iput and iget
+        // count once each, the scatter once; node 1 added nothing.
+        EXPECT_EQ(obs::registry().value(0, "node.strided"),
+                  strided0 + (on ? 2 : 0));
+        EXPECT_EQ(obs::registry().value(0, "node.scatters"),
+                  scatters0 + (on ? 1 : 0));
       }
       c.barrier();
     });
-    EXPECT_GT(counter_total("node.elided_msgs", images), 0u);
+    EXPECT_EQ(counter_total("node.elided_msgs", images) > 0, on);
     EXPECT_GT(wire_records_total(images), 0u);
   }
   obs::disable();
+  EXPECT_GT(far_put[0], 0);
+  EXPECT_EQ(far_put[0], far_put[1]) << "the transport moved a cross-node put";
 }
 
 // ---- cross-conduit conformance at non-pow2 image counts ----------------
@@ -241,29 +307,37 @@ TEST(NodeTransport, RingWrapsAndStallsUnderBackpressure) {
 // ---- failures on the node path -----------------------------------------
 
 // Killing a same-node peer mid-stream: puts into the detached segment must
-// surface as kStatFailedImage, not silently "succeed" through shared memory.
+// surface as kStatFailedImage, not silently "succeed" through shared memory,
+// on every conduit. The puts run after the kill but before the detector
+// declares it (suspicion takes 4 missed 50 us heartbeats plus a 200 us
+// grace), so the node path itself must see the dead segment.
 TEST(NodeTransport, SameNodePeerKillFailsSubsequentPuts) {
   const int images = 8;
-  net::FaultPlan plan;
-  plan.with_seed(0xA11CE);
-  plan.kill_pe(2, 500'000);  // image 3, same node as everyone
-  Harness h(Stack::kShmemCray, images, node_on(), 2 << 20, plan);
-  h.run([&] {
-    auto& rt = h.rt();
-    Conduit& c = rt.conduit();
-    const std::uint64_t off = c.allocate(64);
-    if (c.rank() == 0) {
-      std::int64_t v = 5;
-      // Before the kill the put lands normally.
-      EXPECT_EQ(rt.put_bytes_stat(3, off, &v, sizeof v), kStatOk);
-      h.engine().advance(1'000'000);  // past the kill
-      EXPECT_EQ(rt.put_bytes_stat(3, off, &v, sizeof v), kStatFailedImage);
-      std::int64_t g = 0;
-      EXPECT_EQ(rt.get_bytes_stat(&g, 3, off, sizeof g), kStatFailedImage);
-      // A live same-node neighbor keeps working.
-      EXPECT_EQ(rt.put_bytes_stat(2, off, &v, sizeof v), kStatOk);
-    }
-  });
+  for (const Stack stack : caftest::kAllStacks) {
+    SCOPED_TRACE(caftest::to_string(stack));
+    net::FaultPlan plan;
+    plan.with_seed(0xA11CE);
+    plan.kill_pe(2, 500'000);  // image 3, same node as everyone
+    Harness h(stack, images, node_on(), 2 << 20, plan);
+    h.run([&] {
+      auto& rt = h.rt();
+      Conduit& c = rt.conduit();
+      const std::uint64_t off = c.allocate(64);
+      if (c.rank() == 0) {
+        std::int64_t v = 5;
+        // Before the kill the put lands normally.
+        ASSERT_LT(h.engine().now(), 500'000);
+        EXPECT_EQ(rt.put_bytes_stat(3, off, &v, sizeof v), kStatOk);
+        h.engine().advance_to(600'000);  // past the kill, not yet declared
+        EXPECT_FALSE(h.engine().pe_declared(2));
+        EXPECT_EQ(rt.put_bytes_stat(3, off, &v, sizeof v), kStatFailedImage);
+        std::int64_t g = 0;
+        EXPECT_EQ(rt.get_bytes_stat(&g, 3, off, sizeof g), kStatFailedImage);
+        // A live same-node neighbor keeps working.
+        EXPECT_EQ(rt.put_bytes_stat(2, off, &v, sizeof v), kStatOk);
+      }
+    });
+  }
 }
 
 // ---- determinism --------------------------------------------------------
@@ -273,7 +347,8 @@ namespace {
 // One fixed single-node workload; returns the FNV-1a hash of its Chrome
 // trace. Counters are sampled before teardown so callers can also assert
 // on the transport's footprint.
-std::uint64_t traced_run_hash(bool transport_on, std::uint64_t* elided_out) {
+std::uint64_t traced_run_hash(bool transport_on, std::uint64_t* elided_out,
+                              sim::Time* end_out = nullptr) {
   const int images = 24;  // one full XC30 node; non-pow2
   obs::enable({});
   caf::Options opts;
@@ -297,6 +372,7 @@ std::uint64_t traced_run_hash(bool transport_on, std::uint64_t* elided_out) {
         rt.co_sum(&s, 1);
       }
       c.barrier();
+      if (me == 0 && end_out != nullptr) *end_out = h.engine().now();
     });
     const std::string trace = obs::chrome_trace_json();
     hash = fnv1a(hash, trace.data(), trace.size());
@@ -312,81 +388,88 @@ std::uint64_t traced_run_hash(bool transport_on, std::uint64_t* elided_out) {
 
 TEST(NodeTransport, SameSeedRerunsAreByteIdenticalAndOnOffIsObservable) {
   std::uint64_t elided_a = 0, elided_b = 0, elided_off = 0;
-  const std::uint64_t on_a = traced_run_hash(true, &elided_a);
+  sim::Time end_on = 0, end_off = 0;
+  const std::uint64_t on_a = traced_run_hash(true, &elided_a, &end_on);
   const std::uint64_t on_b = traced_run_hash(true, &elided_b);
-  const std::uint64_t off = traced_run_hash(false, &elided_off);
+  const std::uint64_t off = traced_run_hash(false, &elided_off, &end_off);
   EXPECT_EQ(on_a, on_b) << "same-seed rerun diverged with the transport on";
   EXPECT_EQ(elided_a, elided_b);
   EXPECT_GT(elided_a, 0u);
   EXPECT_EQ(elided_off, 0u) << "transport off must not elide anything";
   EXPECT_NE(on_a, off)
       << "transport on/off must be distinguishable in the trace";
+  EXPECT_LT(end_on, end_off) << "same-node traffic must be cheaper on the "
+                                "transport than through the NIC";
 }
 
-// ---- caf::NodeHeap facade ----------------------------------------------
+// ---- node and NUMA topology through the Domain ------------------------
 
-TEST(NodeTransport, NodeHeapResolvesSameNodePointersAndReportsTopology) {
+TEST(NodeTransport, DomainReportsSameNodeReachAndNumaTopology) {
   const int images = 26;  // node 0 holds 24 images, node 1 the last two
   Harness h(Stack::kShmemCray, images, node_on());
   h.run([&] {
-    auto& rt = h.rt();
-    Conduit& c = rt.conduit();
+    Conduit& c = h.rt().conduit();
     const std::uint64_t off = c.allocate(64);
     c.barrier();
-    NodeHeap nh = rt.node_heap();
-    ASSERT_TRUE(nh.enabled());
-    const int me = rt.this_image();
-    if (me == 1) {
-      // Direct store into a same-node sibling (the shmem_ptr idiom).
-      std::byte* p = nh.resolve(2, off);
-      ASSERT_NE(p, nullptr);
-      EXPECT_EQ(p, c.segment(1) + off);
-      const std::int64_t magic = 0x5eed;
-      std::memcpy(p, &magic, sizeof magic);
-      // Cross-node images and out-of-segment offsets do not resolve.
-      EXPECT_EQ(nh.resolve(26, off), nullptr);
-      EXPECT_EQ(nh.resolve(2, c.segment_bytes()), nullptr);
-      EXPECT_TRUE(nh.same_node(1, 24));
-      EXPECT_FALSE(nh.same_node(1, 25));
-      EXPECT_EQ(nh.cpu_domain(1), 0);
-      EXPECT_EQ(nh.cpu_domain(24), 1);  // pe 23: second socket
-      EXPECT_TRUE(nh.numa_local(2));
-      EXPECT_FALSE(nh.numa_local(24));
-      EXPECT_GT(nh.copy_cost(24, 4096), nh.copy_cost(2, 4096));
-      const NodeHeapStats s = nh.stats();
-      EXPECT_EQ(s.node, 0);
-      EXPECT_EQ(s.images_on_node, 24);
-      EXPECT_EQ(s.numa_domains, 2);
-      ASSERT_EQ(s.images_per_domain.size(), 2u);
-      EXPECT_EQ(s.images_per_domain[0], 12);
-      EXPECT_EQ(s.images_per_domain[1], 12);
-    }
-    if (me == 26) {
-      const NodeHeapStats s = rt.node_heap().stats();
-      EXPECT_EQ(s.node, 1);
-      EXPECT_EQ(s.images_on_node, 2);
+    const net::NodeChannel* ch = c.rma_domain()->node_transport();
+    ASSERT_NE(ch, nullptr);
+    const net::Fabric& fab = c.rma_domain()->fabric();
+    const std::int64_t magic = 0x5eed;
+    if (c.rank() == 0) {
+      // A store into a same-node sibling is one node put, no wire message.
+      const std::uint64_t puts0 = obs::registry().value(0, "node.puts");
+      c.put(1, off, &magic, sizeof magic, /*nbi=*/false);
+      EXPECT_EQ(obs::registry().value(0, "node.puts"), puts0 + 1);
+      EXPECT_TRUE(c.direct_reachable(23));
+      EXPECT_FALSE(c.direct_reachable(24));
+      EXPECT_EQ(ch->numa_domains(), 2);
+      EXPECT_EQ(ch->domain_of(0), 0);
+      EXPECT_EQ(ch->domain_of(23), 1);  // second socket
+      EXPECT_TRUE(ch->numa_local(0, 1));
+      EXPECT_FALSE(ch->numa_local(0, 23));
+      EXPECT_GT(ch->copy_cost(0, 23, 4096), ch->copy_cost(0, 1, 4096));
+      // Node 0 holds 12 images per socket; node 1 the last two.
+      int per_domain[2] = {0, 0};
+      int on_node1 = 0;
+      for (int pe = 0; pe < images; ++pe) {
+        if (fab.node_of(pe) == 0) {
+          ++per_domain[ch->domain_of(pe)];
+        } else {
+          EXPECT_EQ(fab.node_of(pe), 1);
+          ++on_node1;
+        }
+      }
+      EXPECT_EQ(per_domain[0], 12);
+      EXPECT_EQ(per_domain[1], 12);
+      EXPECT_EQ(on_node1, 2);
     }
     c.barrier();
-    if (me == 2) {
+    if (c.rank() == 1) {
       std::int64_t got = 0;
       std::memcpy(&got, c.segment(1) + off, sizeof got);
-      EXPECT_EQ(got, 0x5eed);
+      EXPECT_EQ(got, magic);
     }
     c.barrier();
   });
 }
 
-// Without the transport, NodeHeap degrades gracefully: nothing resolves,
-// costs are zero, queries fall back to trivial answers.
-TEST(NodeTransport, NodeHeapDisabledFallsBackGracefully) {
-  Harness h(Stack::kGasnet, 4);
+// Without the transport the Domain holds no channel: no peer is reachable
+// by load/store and same-node RMA stays on the fabric path.
+TEST(NodeTransport, DisabledTransportHasNoChannelAndReachesNoPeer) {
+  const int images = 4;
+  Harness h(Stack::kGasnet, images);
   h.run([&] {
-    NodeHeap nh = h.rt().node_heap();
-    EXPECT_FALSE(nh.enabled());
-    EXPECT_EQ(nh.resolve(2, 0), nullptr);
-    EXPECT_EQ(nh.copy_cost(2, 1 << 20), 0);
-    EXPECT_EQ(nh.cpu_domain(3), 0);
-    const NodeHeapStats s = nh.stats();
-    EXPECT_EQ(s.images_on_node, 1);
+    Conduit& c = h.rt().conduit();
+    ASSERT_NE(c.rma_domain(), nullptr);
+    EXPECT_EQ(c.rma_domain()->node_transport(), nullptr);
+    EXPECT_FALSE(c.direct_reachable(1));
+    const std::uint64_t off = c.allocate(64);
+    if (c.rank() == 0) {
+      const std::int64_t v = 3;
+      c.put(1, off, &v, sizeof v, /*nbi=*/false);
+    }
+    c.barrier();
   });
+  EXPECT_EQ(counter_total("node.puts", images), 0u);
+  EXPECT_EQ(counter_total("node.elided_msgs", images), 0u);
 }
