@@ -184,14 +184,17 @@ CAF_TRACE="$ART/fig9_dht_trace.json" ./build-release/bench/fig9_dht --smoke 8
 python3 -m json.tool "$ART/fig9_dht_trace.json" > /dev/null
 echo "trace artifact ok: $ART/fig9_dht_trace.json"
 
-echo "=== Repository benchmark smoke: perfbench failover + himeno ==="
+echo "=== Repository benchmark smoke: all four perfbench workloads ==="
 # perfbench/ is its own CMake tree (BENCHMARK.json's command), which the
 # suites above never build. One short failover run builds it from src/ and
 # runs its output checks: run.py exits non-zero when a check fails. The
 # himeno leg checks every image's gosa per iteration at 2048 images, so a
-# broken halo pack or section walk fails here too.
-python3 perfbench/run.py --workload failover --seed 1 --seconds 1 --trace 0
-python3 perfbench/run.py --workload himeno --seed 1 --seconds 1 --trace 0
+# broken halo pack or section walk fails here too. The two DHT legs check
+# their final tables at 1024 images: dht_locks over the conduit's
+# outstanding-put tracker, dht_rpc over the RPC engine's sender rows.
+for w in failover himeno dht_locks dht_rpc; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+done
 
 echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
 # Host-side engine health: queue events/sec, fiber switches/sec, zero

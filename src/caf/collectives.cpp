@@ -122,11 +122,7 @@ void CollectiveEngine::init() {
   std::memset(local(base), 0, cells_bytes);
   // Only clear team cells that hold stale data: a fresh segment reads as
   // zeros without those pages ever becoming resident.
-  std::byte* cells = local(mark_cell_off_);
-  if (std::any_of(cells, cells + team_cells,
-                  [](std::byte b) { return b != std::byte{0}; })) {
-    std::memset(cells, 0, team_cells);
-  }
+  clear_if_stale(local(mark_cell_off_), team_cells);
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +133,6 @@ void CollectiveEngine::count_msg(int target) {
   CollTelemetry& t = state().tele;
   if (node_of(target) == node_of(me())) {
     ++t.intra_node_msgs;
-    if (conduit_.direct_reachable(target)) ++t.direct_intra_msgs;
   } else {
     ++t.inter_node_msgs;
   }

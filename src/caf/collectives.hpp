@@ -12,8 +12,8 @@
 //                          pre-engine algorithm, kept as an arm).
 //   * kTwoLevel          — node-leader hierarchy: intra-node stage over
 //                          the node transport's shared-segment copies when
-//                          it is on (Conduit::direct_reachable()), k-nomial
-//                          tree across node leaders for the inter-node stage.
+//                          it is on (Options::node), k-nomial tree across
+//                          node leaders for the inter-node stage.
 //   * kRecursiveDoubling — allreduce without a root for small payloads
 //                          (log2 P rounds instead of reduce + broadcast).
 //   * kPipelined         — segmented streaming through a contiguous binary
@@ -102,7 +102,6 @@ struct CollTelemetry {
   std::uint64_t barriers = 0;
   std::uint64_t inter_node_msgs = 0;  ///< data/flag puts that crossed nodes
   std::uint64_t intra_node_msgs = 0;  ///< puts that stayed on the node
-  std::uint64_t direct_intra_msgs = 0;///< intra puts the conduit can ld/st
   std::uint64_t chunks_pipelined = 0; ///< segments streamed up/down trees
   std::uint64_t team_plan_rebuilds = 0;///< tree plans rebuilt (epoch moved /
                                        ///< membership changed)
@@ -175,6 +174,8 @@ class CollectiveEngine {
   /// tests can check which of its pages an image touched.
   std::uint64_t staging_offset() const { return staging_off_; }
   std::size_t staging_bytes() const { return staging_bytes_; }
+  /// The failure-aware team area (cells first, then slots).
+  std::uint64_t team_area_offset() const { return mark_cell_off_; }
   const CollTelemetry& telemetry() { return state().tele; }
 
   /// Staging granularity of the non-pipelined arms (one slot bank).

@@ -26,10 +26,13 @@
 // the runtime's aggregation buffer sits above it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "caf/index_set.hpp"
 #include "fabric/domain.hpp"  // fabric::ScatterRec
 #include "net/model.hpp"
 #include "obs/obs.hpp"
@@ -39,6 +42,15 @@ namespace caf {
 
 using Cmp = fabric::Cmp;
 using ReduceOp = shmem::ReduceOp;
+
+/// Zeroes the `n` bytes at `p` only if one of them is not zero. A fresh
+/// segment reads as zeros, so a runtime cell that no run uses is read but
+/// never written, and its page stays the kernel's shared zero page.
+inline void clear_if_stale(std::byte* p, std::size_t n) {
+  if (std::any_of(p, p + n, [](std::byte b) { return b != std::byte{0}; })) {
+    std::memset(p, 0, n);
+  }
+}
 
 class Conduit {
  public:
@@ -141,24 +153,20 @@ class Conduit {
   void quiet() {
     Tracker& t = tracker();
     ++*t.quiet_calls;
-    if (t.dirty_list.empty()) {
+    if (t.dirty.empty()) {
       ++*t.quiet_elided;
       return;
     }
-    obs::Span sp(obs::Cat::kQuiet, t.dirty_list.size());
+    obs::Span sp(obs::Cat::kQuiet, t.dirty.size());
     do_quiet();
-    for (int r : t.dirty_list) t.dirty[static_cast<std::size_t>(r)] = 0;
-    t.dirty_list.clear();
+    t.dirty.clear();
   }
 
   /// True when this rank has issued puts to `target` not yet covered by a
   /// quiet().
-  bool pending(int target) {
-    Tracker& t = tracker();
-    return t.dirty[static_cast<std::size_t>(target)] != 0;
-  }
+  bool pending(int target) { return tracker().dirty.contains(target); }
   /// True when any put from this rank is outstanding.
-  bool pending_any() { return !tracker().dirty_list.empty(); }
+  bool pending_any() { return !tracker().dirty.empty(); }
 
   // ---- 64-bit remote atomics (non-virtual fronts over the do_amo hook) ----
   std::int64_t amo_swap(int rank, std::uint64_t off, std::int64_t value) {
@@ -251,8 +259,7 @@ class Conduit {
   /// rank; the registry zeroes values in place on reset, so the cached
   /// handles stay valid across back-to-back runs on one stack.
   struct Tracker {
-    std::vector<std::uint8_t> dirty;  ///< dirty[target] != 0 → puts in flight
-    std::vector<int> dirty_list;      ///< targets with the flag set
+    IndexSet dirty;  ///< targets put to since the last quiet
     std::uint64_t* tracked_puts = nullptr;
     std::uint64_t* scatter_msgs = nullptr;
     std::uint64_t* quiet_calls = nullptr;
@@ -262,8 +269,7 @@ class Conduit {
   Tracker& tracker() {
     if (trk_.empty()) trk_.resize(static_cast<std::size_t>(nranks()));
     Tracker& t = trk_[static_cast<std::size_t>(rank())];
-    if (t.dirty.empty()) {
-      t.dirty.assign(static_cast<std::size_t>(nranks()), 0);
+    if (t.tracked_puts == nullptr) {
       auto& reg = obs::registry();
       const int r = rank();
       t.tracked_puts = &reg.counter(r, "rma.tracked_puts");
@@ -277,10 +283,7 @@ class Conduit {
   Tracker& note_put(int target) {
     Tracker& t = tracker();
     ++*t.tracked_puts;
-    if (!t.dirty[static_cast<std::size_t>(target)]) {
-      t.dirty[static_cast<std::size_t>(target)] = 1;
-      t.dirty_list.push_back(target);
-    }
+    t.dirty.insert(target);
     return t;
   }
 

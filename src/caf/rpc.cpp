@@ -90,10 +90,7 @@ RpcEngine::RpcEngine(Runtime& rt, const RpcOptions& opts)
   // Sized here rather than in init_symmetric: a sender marks the target's
   // set and takes a row there, and the target may not have reached its own
   // init yet.
-  for (PerPe& st : per_) {
-    st.cand.assign((n + 63) / 64, 0);
-    st.row.assign(n, -1);
-  }
+  for (PerPe& st : per_) st.cand.assign((n + 63) / 64, 0);
 }
 
 RpcEngine::~RpcEngine() = default;
@@ -420,8 +417,7 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
       // A candidate has a row: the sender takes it before setting the bit.
       // Indexed, never held: a handler's clock advance lets a first-contact
       // sender grow st.pairs.
-      const auto row =
-          static_cast<std::size_t>(st.row[static_cast<std::size_t>(s)]);
+      const auto row = static_cast<std::size_t>(st.senders.find(s));
       bool any = false;
       while (true) {
         const std::uint64_t next = st.pairs[row].consumed + 1;
@@ -452,18 +448,16 @@ void RpcEngine::drain(int t, bool fiber, sim::Time at) {
 
 std::size_t RpcEngine::row_of(int t, int src) {
   PerPe& ts = per_[static_cast<std::size_t>(t)];
-  std::int32_t& r = ts.row[static_cast<std::size_t>(src)];
-  if (r < 0) {
-    // Host storage only: the modeled layout is still one row per pair, so
-    // taking and clearing a row costs no virtual time.
-    r = static_cast<std::int32_t>(ts.pairs.size());
-    ts.pairs.emplace_back();
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(opts_.slots_per_pair) * opts_.slot_bytes;
-    std::memset(conduit_.segment(t) + slot_off(static_cast<std::size_t>(r), 1),
-                0, row_bytes);
-  }
-  return static_cast<std::size_t>(r);
+  const std::int32_t found = ts.senders.find(src);
+  if (found >= 0) return static_cast<std::size_t>(found);
+  // Host storage only: the modeled layout is still one row per pair, so
+  // taking and clearing a row costs no virtual time.
+  const auto r = static_cast<std::size_t>(ts.senders.insert(src));
+  ts.pairs.emplace_back();
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(opts_.slots_per_pair) * opts_.slot_bytes;
+  std::memset(conduit_.segment(t) + slot_off(r, 1), 0, row_bytes);
+  return r;
 }
 
 std::uint64_t RpcEngine::slot_off(std::size_t row, std::uint64_t seq) const {
@@ -486,8 +480,7 @@ int RpcEngine::next_candidate(const PerPe& st, int from) const {
 void RpcEngine::retire_candidate(int t, int s) {
   const PerPe& src = per_[static_cast<std::size_t>(s)];
   PerPe& st = per_[static_cast<std::size_t>(t)];
-  const Pair& p = st.pairs[static_cast<std::size_t>(
-      st.row[static_cast<std::size_t>(s)])];
+  const Pair& p = st.pairs[static_cast<std::size_t>(st.senders.find(s))];
   if (p.consumed < p.sent) return;  // landed, unread
   if (src.put_target == t && p.consumed < src.put_seq) return;  // in flight
   st.cand[static_cast<std::size_t>(s) / 64] &=

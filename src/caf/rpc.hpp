@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "caf/future.hpp"
+#include "caf/index_set.hpp"
 #include "caf/runtime.hpp"
 
 namespace gasnet {
@@ -237,10 +238,10 @@ class RpcEngine {
   };
 
   struct PerPe {
-    /// Per source: the row of this image's ring area (and index into
-    /// `pairs`) the source's slots live in, -1 before its first request.
-    /// Rows go out in first-contact order (DESIGN.md §4f).
-    std::vector<std::int32_t> row;
+    /// Sources that have sent here, in first-contact order: a source's
+    /// position is the row of this image's ring area its slots live in,
+    /// and its index into `pairs` (DESIGN.md §4f).
+    IndexSet senders;
     std::vector<Pair> pairs;  ///< by row; grows on first contact
     /// Candidate sources of this image's mailbox, one bit per source: a
     /// superset of the sources whose next slot is visible or in flight

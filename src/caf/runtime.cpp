@@ -86,7 +86,9 @@ void Runtime::init() {
   coll_flags_off_ = flags;
   coll_slot_off_ = slots;
   critical_off_ = crit;
-  std::memset(local_addr(crit), 0, lock_cell_bytes());
+  // The CRITICAL cell shares its page with the engine's team cells, which
+  // a fault-free run never writes: clear it only if it holds stale bytes.
+  clear_if_stale(local_addr(crit), lock_cell_bytes());
   // Topology-aware collectives engine: its symmetric staging areas are
   // allocated here, in the same collective order on every image, whether or
   // not the engine ends up selected — so the heap layout never depends on

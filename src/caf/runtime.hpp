@@ -361,6 +361,8 @@ class Runtime {
   // ---- critical construct ----
   void begin_critical();
   void end_critical();
+  /// Symmetric offset of the CRITICAL construct's lock cell (for tests).
+  std::uint64_t critical_offset() const { return critical_off_; }
 
   // ---- events (OpenUH extension features, §II-A) ----
   CoEvent make_event();           // collective

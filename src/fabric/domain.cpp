@@ -469,8 +469,7 @@ void Domain::read(bool strided, void* dst, std::ptrdiff_t dst_stride,
       engine_.advance_to(rt.exec);
       throw PeerFailedError(op, me, src_pe, 1, rt.exec);
     }
-    ++*nt.gets;
-    if (strided) ++*nt.strided;
+    ++*(strided ? nt.strided : nt.gets);
     ++*nt.elided_msgs;
     *nt.elided_bytes += bytes;
     if (!ch.numa_local(me, src_pe)) ++*nt.numa_remote;

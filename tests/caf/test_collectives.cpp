@@ -2,6 +2,7 @@
 // algorithm arm, on every conduit, must produce results bit-identical to a
 // sequential ascending-rank fold — including a non-commutative (but
 // associative) combiner, which exposes any arm that merges out of order.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 
 #include "caf/collectives.hpp"
 #include "caf_test_util.hpp"
+#include "obs/obs.hpp"
 
 using caf::CollAlgo;
 using caftest::Harness;
@@ -91,6 +93,24 @@ std::vector<unsigned char> residency(const std::byte* seg, std::size_t bytes) {
     ADD_FAILURE() << "mincore failed";
   }
   return vec;
+}
+
+/// True when the page holding `p` is mapped by this process alone, which
+/// for an anonymous page means it was written (/proc/self/pagemap bit 56,
+/// "exclusively mapped"). A page that was only read maps the kernel's
+/// shared zero page and leaves the bit clear.
+bool privately_written(const void* p) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto index = reinterpret_cast<std::uintptr_t>(p) / page;
+  std::uint64_t entry = 0;
+  const int fd = open("/proc/self/pagemap", O_RDONLY);
+  if (fd < 0 ||
+      pread(fd, &entry, sizeof entry,
+            static_cast<off_t>(index * sizeof entry)) != sizeof entry) {
+    ADD_FAILURE() << "cannot read /proc/self/pagemap";
+  }
+  if (fd >= 0) close(fd);
+  return ((entry >> 56) & 1) != 0;
 }
 
 class CollConformance : public ::testing::TestWithParam<Stack> {};
@@ -268,16 +288,17 @@ TEST(CollEngine, TwoLevelBroadcastBeatsBinomialAcrossNodes) {
 }
 
 TEST(CollEngine, IntraNodeStagesUseDirectPath) {
-  // Every stack, transport on and off: with the node transport on, the
-  // two-level gather/fan-out stages within a node are direct
-  // load/store-reachable and the telemetry records it; with it off, no
-  // intra-node message counts as direct.
+  // Every stack, transport on and off: the two-level gather/fan-out stages
+  // within a node send intra-node messages either way; with the node
+  // transport on they ride its shared-segment copies (elided fabric
+  // messages), with it off none is elided.
   for (const Stack stack : caftest::kAllStacks) {
     for (const bool node_on : {true, false}) {
       SCOPED_TRACE(std::string(caftest::to_string(stack)) +
                    (node_on ? " transport on" : " transport off"));
       caf::Options opts = coll_opts(CollAlgo::kTwoLevel, CollAlgo::kTwoLevel);
       opts.node.enabled = node_on;
+      obs::registry().clear();  // the previous arm's node.* counts
       Harness h(stack, 6, opts);
       h.run([&] {
         auto& rt = h.rt();
@@ -286,13 +307,15 @@ TEST(CollEngine, IntraNodeStagesUseDirectPath) {
         EXPECT_EQ(v, 21);
         rt.sync_all();
         const auto& tele = rt.coll_engine()->telemetry();
-        if (rt.this_image() != 1) {  // every non-leader sent intra-node
+        const int me0 = rt.this_image() - 1;
+        const std::uint64_t elided =
+            obs::registry().value(me0, "node.elided_msgs");
+        if (me0 != 0) {  // every non-leader sent intra-node
           EXPECT_GT(tele.intra_node_msgs, 0u);
+          EXPECT_EQ(elided > 0, node_on);
         }
         if (!node_on) {
-          EXPECT_EQ(tele.direct_intra_msgs, 0u);
-        } else if (rt.this_image() != 1) {
-          EXPECT_EQ(tele.direct_intra_msgs, tele.intra_node_msgs);
+          EXPECT_EQ(elided, 0u);
         }
         EXPECT_EQ(tele.inter_node_msgs, 0u);  // single node: nothing crossed
       });
@@ -418,6 +441,47 @@ TEST(CollEngine, SmallAndLargePayloadsShareBanksSafely) {
       }
       rt.sync_all();
     });
+  }
+}
+
+TEST(CollFootprint, FaultFreeRunNeverWritesTheTeamPage) {
+  // The CRITICAL construct's lock cell shares a page with the engine's
+  // team cells, which only a failure-aware team operation writes. Init
+  // clears either only when it holds stale bytes, so a fault-free image
+  // reads that page but never writes it, and it stays the kernel's zero
+  // page. The collective cells, which init zeroes, are written. Segments
+  // of 40 MiB are fresh zero mappings (see the test below); huge pages
+  // are turned off on them so that one write faults in only its own page.
+  constexpr int kImages = 4;
+  constexpr std::size_t kHeap = std::size_t{40} << 20;
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto page_of = [page](const std::byte* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / page;
+  };
+  for (const Stack stack : caftest::kAllStacks) {
+    SCOPED_TRACE(caftest::to_string(stack));
+    Harness h(stack, kImages, {}, kHeap);
+    h.run(
+        [&] {
+          auto& rt = h.rt();
+          const int me0 = rt.conduit().rank();
+          std::byte* seg = rt.conduit().segment(me0);
+          const std::uintptr_t lo = page_of(seg) * page;
+          EXPECT_EQ(madvise(reinterpret_cast<void*>(lo),
+                            reinterpret_cast<std::uintptr_t>(seg) + kHeap - lo,
+                            MADV_NOHUGEPAGE),
+                    0);
+          rt.init();
+          rt.sync_all();
+          const caf::CollectiveEngine& eng = *rt.coll_engine();
+          const std::byte* crit = seg + rt.critical_offset();
+          const std::byte* team = seg + eng.team_area_offset();
+          EXPECT_EQ(page_of(crit), page_of(team));
+          EXPECT_FALSE(privately_written(team)) << "image " << me0 + 1;
+          EXPECT_TRUE(privately_written(seg + eng.staging_offset()))
+              << "image " << me0 + 1;
+        },
+        /*auto_init=*/false);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "caf_test_util.hpp"
 #include "obs/obs.hpp"
@@ -356,6 +357,42 @@ TEST_P(ConduitConformance, QuietIsElidedWhenNoOpsAreInFlight) {
       c.quiet();  // real fence: tracker dirty
       EXPECT_EQ(obs::registry().value(0, "rma.quiet_elided"), elided0 + 2);
       EXPECT_FALSE(c.pending_any());
+    }
+    c.barrier();
+  });
+}
+
+// The tracker holds only the targets put to, whatever their number: after
+// deferred (nbi) puts to 200 of 256 images, pending() is true for exactly
+// those, and one quiet() clears them all. The second round, to another
+// set, reuses the emptied tracker.
+TEST_P(ConduitConformance, TrackerFollowsDeferredPutsToManyTargets) {
+  constexpr int kImages = 256;
+  constexpr int kTargets = 200;
+  Harness h = make(kImages);
+  h.run([&] {
+    Conduit& c = conduit(h);
+    const std::uint64_t off = c.allocate(64);
+    c.barrier();
+    if (c.rank() == 0) {
+      for (const int stride : {3, 5}) {
+        std::vector<bool> put_to(kImages, false);
+        const std::int64_t v = stride;
+        for (int i = 0; i < kTargets; ++i) {
+          const int t = (1 + stride * i) % kImages;  // 200 distinct ranks
+          c.put(t, off, &v, sizeof v, /*nbi=*/true);
+          put_to[static_cast<std::size_t>(t)] = true;
+        }
+        for (int t = 0; t < kImages; ++t) {
+          EXPECT_EQ(c.pending(t), put_to[static_cast<std::size_t>(t)])
+              << "stride " << stride << " target " << t;
+        }
+        c.quiet();
+        for (int t = 0; t < kImages; ++t) {
+          EXPECT_FALSE(c.pending(t)) << "stride " << stride << " target " << t;
+        }
+        EXPECT_FALSE(c.pending_any());
+      }
     }
     c.barrier();
   });

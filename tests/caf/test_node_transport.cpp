@@ -78,6 +78,7 @@ TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
         const std::uint64_t puts0 = obs::registry().value(0, "node.puts");
         const std::uint64_t gets0 = obs::registry().value(0, "node.gets");
         const std::uint64_t amos0 = obs::registry().value(0, "node.amos");
+        const std::uint64_t strided0 = obs::registry().value(0, "node.strided");
         const std::uint64_t elided0 =
             obs::registry().value(0, "node.elided_msgs");
         std::int64_t v = 42;
@@ -91,11 +92,22 @@ TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
         EXPECT_EQ(got, 42);
         (void)c.amo_fadd(2, off, 7);
         (void)c.amo_fadd(2, off, 7);
+        // A strided put and get count as strided, not as a put or a get.
+        const std::int64_t pair[2] = {5, 6};
+        c.iput(1, off + 64, /*dst_stride=*/2, pair, /*src_stride=*/1,
+               sizeof(std::int64_t), 2);
+        c.quiet();
+        std::int64_t back[2] = {};
+        c.iget(back, /*dst_stride=*/1, 1, off + 64, /*src_stride=*/2,
+               sizeof(std::int64_t), 2);
+        EXPECT_EQ(back[0], 5);
+        EXPECT_EQ(back[1], 6);
         EXPECT_EQ(obs::registry().value(0, "node.puts"), puts0 + 5);
         EXPECT_EQ(obs::registry().value(0, "node.gets"), gets0 + 3);
         EXPECT_EQ(obs::registry().value(0, "node.amos"), amos0 + 2);
-        // Every one of the 10 ops was one elided fabric message.
-        EXPECT_EQ(obs::registry().value(0, "node.elided_msgs"), elided0 + 10);
+        EXPECT_EQ(obs::registry().value(0, "node.strided"), strided0 + 2);
+        // Every one of the 12 ops was one elided fabric message.
+        EXPECT_EQ(obs::registry().value(0, "node.elided_msgs"), elided0 + 12);
       }
       c.barrier();
       if (c.rank() == 2) {

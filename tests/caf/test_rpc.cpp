@@ -539,3 +539,60 @@ TEST(RpcMailbox, StaleRowsClearedAtFirstContact) {
   });
   EXPECT_EQ(std::count(done.begin(), done.end(), 1), n);
 }
+
+namespace {
+std::vector<int> g_served;  // sources, in the order image 1 served them
+}  // namespace
+
+// Rows go out in first-contact order, but a drain still visits sources in
+// ascending rank order, wherever their rows lie. First the images contact
+// image 1 from the highest rank down, 20 us apart, so image n takes row 0.
+// Then image 1 holds off draining until every image's next request has
+// landed, and one drain serves them by ascending source.
+TEST(RpcMailbox, DrainServesAscendingSourcesWhateverTheContactOrder) {
+  const int n = 24;  // two Titan nodes
+  driver::Stack stack(driver::StackKind::kShmemCray, n, net::Machine::kTitan,
+                      1 << 20, mailbox_opts(2));
+  sim::Engine& eng = stack.engine();
+  std::vector<int> descending;
+  std::vector<int> ascending;
+  for (int s = 2; s <= n; ++s) {
+    descending.insert(descending.begin(), s);
+    ascending.push_back(s);
+  }
+  const auto record = [](std::int64_t src) {
+    g_served.push_back(static_cast<int>(src));
+  };
+  g_served.clear();
+  stack.run([&](caf::Runtime& rt) {
+    const int me = rt.this_image();
+    const auto serve_all = [&] {
+      for (int spins = 0; g_served.size() < descending.size(); ++spins) {
+        ASSERT_LT(spins, 10'000) << "requests never all landed";
+        rt.rpc_progress();
+        eng.advance(1'000);
+      }
+    };
+    if (me > 1) {
+      eng.advance(20'000 * static_cast<sim::Time>(n - me));
+      rpc_ff(rt, 1, record, static_cast<std::int64_t>(me));
+    }
+    rt.sync_all();
+    if (me == 1) {
+      serve_all();
+      EXPECT_EQ(g_served, descending) << "first contact not in rank-down order";
+      g_served.clear();
+    }
+    rt.sync_all();
+    if (me == 1) {
+      eng.advance(200'000);  // no progress point: every request lands unread
+      rt.rpc_progress();
+      serve_all();
+      EXPECT_EQ(g_served, ascending);
+    } else {
+      rpc_ff(rt, 1, record, static_cast<std::int64_t>(me));
+    }
+    rt.sync_all();
+  });
+  EXPECT_EQ(g_served, ascending);
+}
