@@ -19,7 +19,6 @@
 // `--json PATH` additionally writes the series as JSON (the CI bench-smoke
 // artifact, BENCH_rma.json).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,10 +60,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = flag_value(argc, argv, "--json");
 
   std::printf("=== Ablation: nonblocking RMA pipeline ===\n\n");
   std::vector<Row> rows;
@@ -124,25 +120,16 @@ int main(int argc, char** argv) {
               geomean_ratio(aggs, blks));
 
   if (json_path) {
-    FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
+    Record series = Record::array();
+    for (const Row& r : rows) {
+      series.push(Record().add("workload", r.workload).add("bytes", r.bytes)
+                      .add("blocking", r.blocking, 2).add("nbi", r.nbi, 2)
+                      .add("agg", r.agg, 2));
     }
-    std::fprintf(f, "{\n  \"bench\": \"rma_pipeline\",\n  \"machine\": "
-                    "\"stampede\",\n  \"unit\": \"MB/s\",\n  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      std::fprintf(f,
-                   "    {\"workload\": \"%s\", \"bytes\": %zu, "
-                   "\"blocking\": %.2f, \"nbi\": %.2f, \"agg\": %.2f}%s\n",
-                   r.workload.c_str(), r.bytes, r.blocking, r.nbi, r.agg,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"agg_vs_blocking_geomean\": %.3f\n}\n",
-                 geomean_ratio(aggs, blks));
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+    Record().add("bench", "rma_pipeline").add("machine", "stampede")
+        .add("unit", "MB/s").add("rows", std::move(series))
+        .add("agg_vs_blocking_geomean", geomean_ratio(aggs, blks), 3)
+        .write(json_path);
   }
   return 0;
 }

@@ -27,10 +27,10 @@
 // rings. Native collective mappings are disabled so the engine itself is
 // measured on both stacks.
 //
-// `--json PATH` writes the series plus the @64-image speedups the CI gate
-// checks (BENCH_coll.json).
+// `--json PATH` writes the series plus the @64-image speedups
+// (BENCH_coll.json); its baseline's "bounds" block floors them at 2x
+// (allreduce-8B) and 1.5x (bcast-1MiB).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -129,10 +129,7 @@ constexpr Arm kArms[] = {Arm::kBaseline, Arm::kBinomial, Arm::kFlat,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = bench::flag_value(argc, argv, "--json");
 
   std::printf("=== Ablation: hierarchical collectives engine ===\n\n");
   std::vector<Row> rows;
@@ -185,32 +182,18 @@ int main(int argc, char** argv) {
               allreduce_speedup_64, bcast_speedup_64);
 
   if (json_path) {
-    FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
+    bench::Record series = bench::Record::array();
+    for (const Row& r : rows) {
+      series.push(bench::Record().add("platform", r.platform)
+                      .add("workload", r.workload).add("images", r.images)
+                      .add("baseline", r.t[0]).add("binomial", r.t[1])
+                      .add("flat", r.t[2]).add("auto", r.t[3]));
     }
-    std::fprintf(f, "{\n  \"bench\": \"hierarchical_collectives\",\n"
-                    "  \"unit\": \"ns\",\n  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f,
-                   "    {\"platform\": \"%s\", \"workload\": \"%s\", "
-                   "\"images\": %d, \"baseline\": %lld, \"binomial\": %lld, "
-                   "\"flat\": %lld, \"auto\": %lld}%s\n",
-                   r.platform.c_str(), r.workload.c_str(), r.images,
-                   static_cast<long long>(r.t[0]),
-                   static_cast<long long>(r.t[1]),
-                   static_cast<long long>(r.t[2]),
-                   static_cast<long long>(r.t[3]),
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"allreduce8_speedup_64\": %.3f,\n"
-                 "  \"bcast_1m_speedup_64\": %.3f\n}\n",
-                 allreduce_speedup_64, bcast_speedup_64);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+    bench::Record().add("bench", "hierarchical_collectives").add("unit", "ns")
+        .add("rows", std::move(series))
+        .add("allreduce8_speedup_64", allreduce_speedup_64, 3)
+        .add("bcast_1m_speedup_64", bcast_speedup_64, 3)
+        .write(json_path);
   }
   return 0;
 }

@@ -15,11 +15,11 @@
 // (shared segment). A NUMA-placement mini-sweep shows what first-touch
 // buys over a naive single-arena heap.
 //
-// `--json PATH` writes BENCH_intranode.json; scripts/ci.sh gates the 8-byte
-// allreduce speedup at >= 2x on both machines.
+// `--json PATH` writes BENCH_intranode.json. Its baseline's "bounds" block
+// floors the minimum speedups across both machines (8-byte allreduce >= 2x,
+// lock handoff and hot-get p99 >= 1.5x); scripts/bench_diff.py enforces it.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -127,10 +127,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = bench::flag_value(argc, argv, "--json");
 
   std::printf("=== Ablation: node-local shared-segment transport ===\n\n");
   std::vector<Row> rows;
@@ -178,30 +175,18 @@ int main(int argc, char** argv) {
               allreduce_min, lock_min, get_min);
 
   if (json_path) {
-    FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
+    bench::Record series = bench::Record::array();
+    for (const Row& r : rows) {
+      series.push(bench::Record().add("platform", r.platform)
+                      .add("workload", r.workload).add("fabric", r.fabric)
+                      .add("node", r.node).add("speedup", r.speedup(), 3));
     }
-    std::fprintf(f, "{\n  \"bench\": \"intranode_transport\",\n"
-                    "  \"unit\": \"ns\",\n  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f,
-                   "    {\"platform\": \"%s\", \"workload\": \"%s\", "
-                   "\"fabric\": %lld, \"node\": %lld, \"speedup\": %.3f}%s\n",
-                   r.platform.c_str(), r.workload.c_str(),
-                   static_cast<long long>(r.fabric),
-                   static_cast<long long>(r.node), r.speedup(),
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"allreduce8_speedup_min\": %.3f,\n"
-                 "  \"lock_handoff_speedup_min\": %.3f,\n"
-                 "  \"hot_get_p99_speedup_min\": %.3f\n}\n",
-                 allreduce_min, lock_min, get_min);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+    bench::Record().add("bench", "intranode_transport").add("unit", "ns")
+        .add("rows", std::move(series))
+        .add("allreduce8_speedup_min", allreduce_min, 3)
+        .add("lock_handoff_speedup_min", lock_min, 3)
+        .add("hot_get_p99_speedup_min", get_min, 3)
+        .write(json_path);
   }
   return 0;
 }

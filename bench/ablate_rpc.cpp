@@ -16,8 +16,12 @@
 // transport too — the paper's portability claim restated for remote
 // execution.
 //
-// `--json PATH` writes BENCH_rpc.json; scripts/ci.sh diffs it against the
-// checked-in baseline (which carries per-metric tolerance overrides).
+// `--json PATH` writes BENCH_rpc.json, which scripts/bench_diff.py diffs
+// against the checked-in baseline (it carries per-metric tolerance
+// overrides). The harness is self-checking: it exits non-zero when
+// fire-and-forget stops pipelining (0 < ff/op < rtt on every platform),
+// when the AM transport loses the best round trip to a mailbox, or when a
+// DHT-insert cost is not positive.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -193,10 +197,7 @@ sim::Time dht_insert_amo(const Platform& p, const apps::dht::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = bench::flag_value(argc, argv, "--json");
 
   std::printf("=== Ablation: asynchronous remote execution (RPC) ===\n\n");
   std::printf("%-18s %-9s %14s %14s\n", "platform", "transport", "rtt-8B",
@@ -233,36 +234,46 @@ int main(int argc, char** argv) {
                 static_cast<double>(r.rpc) / static_cast<double>(r.amo));
   }
 
+  // Shape invariants: pipelined fire-and-forget beats a full round trip on
+  // every platform, and the AM transport's implicit handler progress holds
+  // the best round trip over the mailboxes' parked-drain polling.
+  sim::Time best_am = 0, best_mailbox = 0;
+  for (const LatRow& r : lat) {
+    bench::check(r.ff > 0 && r.ff < r.rtt, r.p->name,
+                 "fire-and-forget pipelines: 0 < ff_ns_per_op < rtt_8b_ns");
+    sim::Time& best =
+        std::strcmp(r.p->transport, "am") == 0 ? best_am : best_mailbox;
+    if (best == 0 || r.rtt < best) best = r.rtt;
+  }
+  bench::check(best_am < best_mailbox, "am vs mailbox",
+               "AM transport holds the best rtt_8b_ns");
+  for (const DhtRow& r : dht) {
+    bench::check(r.rpc > 0 && r.amo > 0, r.p->name,
+                 "DHT insert costs are positive");
+  }
+
   if (json_path) {
-    FILE* f = std::fopen(json_path, "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
+    bench::Record platforms = bench::Record::array();
+    for (const LatRow& r : lat) {
+      platforms.push(bench::Record().add("platform", r.p->name)
+                         .add("transport", r.p->transport)
+                         .add("rtt_8b_ns", r.rtt).add("ff_ns_per_op", r.ff));
     }
-    std::fprintf(f, "{\n  \"bench\": \"rpc\",\n  \"unit\": \"ns\",\n"
-                    "  \"platforms\": [\n");
-    for (std::size_t i = 0; i < lat.size(); ++i) {
-      const LatRow& r = lat[i];
-      std::fprintf(f,
-                   "    {\"platform\": \"%s\", \"transport\": \"%s\", "
-                   "\"rtt_8b_ns\": %lld, \"ff_ns_per_op\": %lld}%s\n",
-                   r.p->name, r.p->transport, static_cast<long long>(r.rtt),
-                   static_cast<long long>(r.ff),
-                   i + 1 < lat.size() ? "," : "");
+    bench::Record inserts = bench::Record::array();
+    for (const DhtRow& r : dht) {
+      inserts.push(bench::Record().add("platform", r.p->name)
+                       .add("rpc_ns_per_update", r.rpc)
+                       .add("amo_ns_per_update", r.amo));
     }
-    std::fprintf(f, "  ],\n  \"dht_insert\": [\n");
-    for (std::size_t i = 0; i < dht.size(); ++i) {
-      const DhtRow& r = dht[i];
-      std::fprintf(f,
-                   "    {\"platform\": \"%s\", \"rpc_ns_per_update\": %lld, "
-                   "\"amo_ns_per_update\": %lld}%s\n",
-                   r.p->name, static_cast<long long>(r.rpc),
-                   static_cast<long long>(r.amo),
-                   i + 1 < dht.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+    bench::Record().add("bench", "rpc").add("unit", "ns")
+        .add("platforms", std::move(platforms))
+        .add("dht_insert", std::move(inserts))
+        .write(json_path);
+  }
+  if (bench::check_failures() > 0) {
+    std::printf("RPC ABLATION FAILED: %d invariant violations\n",
+                bench::check_failures());
+    return 1;
   }
   return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "obs/analyzer.hpp"
 #include "obs/export.hpp"
@@ -280,5 +282,101 @@ void obs_report(const char* label) {
                 obs::config().trace_path.c_str());
   }
 }
+
+namespace {
+
+std::string quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + '"';
+}
+
+int g_check_failures = 0;
+
+}  // namespace
+
+Record Record::array() {
+  Record r;
+  r.array_ = true;
+  return r;
+}
+
+Record& Record::put(std::string key, std::string text) {
+  Record item;
+  item.key_ = std::move(key);
+  item.text_ = std::move(text);
+  items_.push_back(std::move(item));
+  return *this;
+}
+
+Record& Record::add(std::string key, std::string_view s) {
+  return put(std::move(key), quote(s));
+}
+
+Record& Record::add(std::string key, double v, int precision) {
+  char text[512];
+  std::snprintf(text, sizeof text, "%.*f", precision, v);
+  return put(std::move(key), text);
+}
+
+Record& Record::add(std::string key, Record v) {
+  v.key_ = std::move(key);
+  items_.push_back(std::move(v));
+  return *this;
+}
+
+std::string Record::dump(int indent) const {
+  if (!text_.empty()) return text_;
+  const bool one_line =
+      indent > 0 && std::all_of(items_.begin(), items_.end(),
+                                [](const Record& r) { return !r.text_.empty(); });
+  std::string out(1, array_ ? '[' : '{');
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (i > 0) out += one_line ? ", " : ",";
+    if (!one_line) out.append(1, '\n').append(indent + 2, ' ');
+    if (!array_) out.append(quote(items_[i].key_)).append(": ");
+    out += items_[i].dump(indent + 2);
+  }
+  if (!one_line && !items_.empty()) out.append(1, '\n').append(indent, ' ');
+  out += array_ ? ']' : '}';
+  return out;
+}
+
+void Record::write(const char* path) const {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    std::exit(1);
+  }
+  std::fprintf(f, "%s\n", dump(0).c_str());
+  std::fclose(f);
+  std::printf("wrote %s\n", path);
+}
+
+bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
+  }
+  return false;
+}
+
+const char* flag_value(int argc, char** argv, const char* flag) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+  }
+  return nullptr;
+}
+
+void check(bool ok, const std::string& where, const char* what) {
+  if (!ok) {
+    std::printf("FAIL [%s]: %s\n", where.c_str(), what);
+    ++g_check_failures;
+  }
+}
+
+int check_failures() { return g_check_failures; }
 
 }  // namespace bench

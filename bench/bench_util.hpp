@@ -1,6 +1,7 @@
 // Shared infrastructure for the figure/table harnesses: raw-conduit put
 // testers (SHMEM / GASNet / MPI-3) for the Figures 2-3 motivation study,
-// and small table-formatting helpers.
+// small table-formatting helpers, and the `--json` record writer and
+// self-check counter the harnesses share.
 //
 // Measurement conventions (PGAS Microbenchmark suite style, §III/§V-B):
 //   * pairs span two nodes: PE p (node 0) is paired with PE 16+p (node 1);
@@ -9,10 +10,12 @@
 //     completed by one quiet, for 1 or 16 concurrently active pairs.
 #pragma once
 
+#include <concepts>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gasnet/gasnet.hpp"
@@ -81,5 +84,51 @@ double geomean_ratio(const std::vector<double>& a, const std::vector<double>& b)
 /// Call it after the instrumented run, before any new Fabric is
 /// constructed (fabric construction resets the session).
 void obs_report(const char* label);
+
+/// One bench record: an ordered JSON value (object or array) built member
+/// by member and written to a harness's `--json` path. Scalars are rendered
+/// when added: integers exactly, floats at the precision the caller gives.
+/// A nested record of scalars prints on one line, so each row of a series
+/// is one line of the file.
+class Record {
+ public:
+  Record() = default;  ///< an empty object
+  static Record array();
+
+  // Object members, in insertion order; push() appends array elements.
+  template <std::integral T>
+  Record& add(std::string key, T v) {
+    return put(std::move(key), std::to_string(v));
+  }
+  Record& add(std::string key, std::string_view s);
+  Record& add(std::string key, double v, int precision);
+  Record& add(std::string key, Record v);
+  Record& push(std::string_view s) { return add({}, s); }
+  Record& push(Record v) { return add({}, std::move(v)); }
+
+  /// Writes the record to `path` and prints "wrote PATH"; exits with
+  /// status 1 when the file cannot be opened.
+  void write(const char* path) const;
+
+ private:
+  Record& put(std::string key, std::string text);
+  std::string dump(int indent) const;
+
+  std::string key_;   ///< member name inside an object
+  std::string text_;  ///< rendered scalar; empty for an object or array
+  bool array_ = false;
+  std::vector<Record> items_;
+};
+
+/// Command-line helpers: whether `flag` is present, and the value after
+/// it (nullptr when absent).
+bool has_flag(int argc, char** argv, const char* flag);
+const char* flag_value(int argc, char** argv, const char* flag);
+
+/// A harness self-check: prints "FAIL [where]: what" and counts the
+/// violation when `ok` is false. A self-checking harness exits non-zero
+/// when check_failures() is above 0.
+void check(bool ok, const std::string& where, const char* what);
+int check_failures();
 
 }  // namespace bench

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apps/driver.hpp"
+#include "bench_util.hpp"
 #include "net/fault.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
@@ -39,13 +40,8 @@ namespace {
 
 constexpr std::uint64_t kBaseSeed = 0xC4405ULL;
 
-int g_failures = 0;
-
 void check(bool ok, std::uint64_t seed, const char* what) {
-  if (!ok) {
-    std::printf("FAIL [seed %" PRIu64 "]: %s\n", seed, what);
-    ++g_failures;
-  }
+  bench::check(ok, "seed " + std::to_string(seed), what);
 }
 
 std::int64_t slot_val(int writer_image, int k) {
@@ -231,24 +227,17 @@ void print_effective_tunables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = nullptr;
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const char* json_path = bench::flag_value(argc, argv, "--json");
   const Profile* prof = &kProfiles[0];
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
+  if (const char* name = bench::flag_value(argc, argv, "--machine")) {
+    prof = nullptr;
+    for (const Profile& p : kProfiles) {
+      if (std::strcmp(name, p.name) == 0) prof = &p;
     }
-    if (std::strcmp(argv[i], "--machine") == 0 && i + 1 < argc) {
-      prof = nullptr;
-      for (const Profile& p : kProfiles) {
-        if (std::strcmp(argv[i + 1], p.name) == 0) prof = &p;
-      }
-      if (prof == nullptr) {
-        std::fprintf(stderr, "unknown --machine %s (xc30|stampede)\n",
-                     argv[i + 1]);
-        return 2;
-      }
+    if (prof == nullptr) {
+      std::fprintf(stderr, "unknown --machine %s (xc30|stampede)\n", name);
+      return 2;
     }
   }
   const int images = prof->images();
@@ -283,7 +272,7 @@ int main(int argc, char** argv) {
   std::uint64_t tot_declared = 0, tot_fp = 0, tot_evidence = 0,
                 tot_suspects = 0, tot_recoveries = 0, tot_flaps = 0,
                 tot_lat = 0, tot_lat_count = 0;
-  std::string rows_json;
+  bench::Record rows = bench::Record::array();
 
   for (int i = 0; i < scripts; ++i) {
     const std::uint64_t seed = kBaseSeed + static_cast<std::uint64_t>(i);
@@ -375,13 +364,9 @@ int main(int argc, char** argv) {
                 " fp=%" PRIu64 " detect_avg=%" PRIu64 "ns\n",
                 seed, s.killed_pe, s.has_partition ? 1 : 0, a.declared_c,
                 a.fp, lat_avg);
-    char row[256];
-    std::snprintf(row, sizeof row,
-                  "%s    {\"seed\": %" PRIu64 ", \"declared\": %" PRIu64
-                  ", \"false_positives\": %" PRIu64
-                  ", \"detect_latency_ns\": %" PRIu64 "}",
-                  i == 0 ? "" : ",\n", seed, a.declared_c, a.fp, lat_avg);
-    rows_json += row;
+    rows.push(bench::Record().add("seed", seed).add("declared", a.declared_c)
+                  .add("false_positives", a.fp)
+                  .add("detect_latency_ns", lat_avg));
   }
 
   const std::uint64_t avg_lat =
@@ -393,31 +378,19 @@ int main(int argc, char** argv) {
               tot_recoveries, tot_flaps, avg_lat);
 
   if (json_path != nullptr) {
-    FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"chaos_soak\",\n  \"unit\": \"ns\",\n"
-                 "  \"machine\": \"%s\",\n"
-                 "  \"images\": %d,\n  \"reps\": %d,\n  \"seed\": %" PRIu64
-                 ",\n  \"false_positives\": %" PRIu64
-                 ",\n  \"declared_total\": %" PRIu64
-                 ",\n  \"evidence_declared_total\": %" PRIu64
-                 ",\n  \"flaps_total\": %" PRIu64
-                 ",\n  \"detect_count\": %" PRIu64
-                 ",\n  \"detect_latency_avg_ns\": %" PRIu64
-                 ",\n  \"rows\": [\n%s\n  ]\n}\n",
-                 prof->name, images, scripts, kBaseSeed, tot_fp, tot_declared,
-                 tot_evidence, tot_flaps, tot_lat_count, avg_lat,
-                 rows_json.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+    bench::Record().add("bench", "chaos_soak").add("unit", "ns")
+        .add("machine", prof->name).add("images", images)
+        .add("reps", scripts).add("seed", kBaseSeed)
+        .add("false_positives", tot_fp).add("declared_total", tot_declared)
+        .add("evidence_declared_total", tot_evidence)
+        .add("flaps_total", tot_flaps).add("detect_count", tot_lat_count)
+        .add("detect_latency_avg_ns", avg_lat).add("rows", std::move(rows))
+        .write(json_path);
   }
 
-  if (g_failures > 0) {
-    std::printf("CHAOS SOAK FAILED: %d invariant violations\n", g_failures);
+  if (bench::check_failures() > 0) {
+    std::printf("CHAOS SOAK FAILED: %d invariant violations\n",
+                bench::check_failures());
     return 1;
   }
   std::printf("CHAOS SOAK OK: %d scripts, all invariants held\n", scripts);

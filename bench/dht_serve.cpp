@@ -23,11 +23,12 @@
 //   * determinism: the whole scenario runs twice and the sample/ledger/
 //     declaration hash must match byte for byte.
 //
-// `--json PATH` writes BENCH_dht_serve.json (gated by scripts/bench_diff.py
-// in ci.sh); `--smoke` runs the bounded CI leg; `--machine xc30|stampede`
-// restricts the profile. Exit status is nonzero if any availability
-// invariant (lost ack, unbounded recovery, leftover replication debt,
-// nondeterminism) is violated — the harness is self-checking.
+// `--json PATH` writes BENCH_dht_serve.json (diffed against its baseline
+// by scripts/bench_diff.py); `--smoke` runs the bounded CI leg;
+// `--machine xc30|stampede` restricts the profile. Exit status is nonzero
+// if any availability invariant (lost ack, unbounded recovery, leftover
+// replication debt, no promotion, nondeterminism) is violated — the
+// harness is self-checking.
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -38,6 +39,7 @@
 
 #include "apps/dht_replicated.hpp"
 #include "apps/driver.hpp"
+#include "bench_util.hpp"
 #include "net/fault.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
@@ -50,14 +52,7 @@ constexpr int kVictim0 = 3;  // PE 3 = image 4 = initial primary of shard 3
 constexpr sim::Time kWindowNs = 50'000;
 constexpr sim::Time kRecoveryBoundNs = 400'000;
 
-int g_failures = 0;
-
-void check(bool ok, const char* machine, const char* what) {
-  if (!ok) {
-    std::printf("FAIL [%s]: %s\n", machine, what);
-    ++g_failures;
-  }
-}
+using bench::check;
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   h ^= v;
@@ -391,23 +386,13 @@ Recovery analyze_recovery(const ServeResult& res, sim::Time kill_at) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = nullptr;
-  const char* only_machine = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--machine") == 0 && i + 1 < argc) {
-      only_machine = argv[i + 1];
-    }
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const char* json_path = bench::flag_value(argc, argv, "--json");
+  const char* only_machine = bench::flag_value(argc, argv, "--machine");
 
   std::printf("=== dht_serve: replicated DHT under a scripted primary kill"
               " ===\n");
-  std::string rows_json;
-  bool first_row = true;
+  bench::Record rows = bench::Record::array();
   for (const Profile& prof : kProfiles) {
     if (only_machine != nullptr &&
         std::strcmp(only_machine, prof.name) != 0) {
@@ -470,51 +455,37 @@ int main(int argc, char** argv) {
                 a.ae_pulls, a.read_fallbacks, a.lock_reclaims);
     std::printf("  determinism: %s\n", deterministic ? "ok" : "MISMATCH");
 
-    char row[1024];
-    std::snprintf(
-        row, sizeof row,
-        "%s    {\"machine\": \"%s\", \"images\": %d, \"reps\": %d,\n"
-        "     \"get_p50_ns\": %" PRIu64 ", \"get_p99_ns\": %" PRIu64
-        ", \"get_p999_ns\": %" PRIu64 ",\n"
-        "     \"put_p50_ns\": %" PRIu64 ", \"put_p99_ns\": %" PRIu64
-        ", \"put_p999_ns\": %" PRIu64 ",\n"
-        "     \"pre_kill_p99_ns\": %" PRIu64
-        ", \"steady_window_p99_ns\": %" PRIu64
-        ", \"post_steady_window_p99_ns\": %" PRIu64
-        ", \"worst_window_p99_ns\": %" PRIu64
-        ", \"recovery_p99_ns\": %" PRId64 ",\n"
-        "     \"lost_acked\": %" PRId64 ", \"determinism_mismatch\": %d,\n"
-        "     \"under_replicated_final\": %d, \"acked_ratio\": %.6f,\n"
-        "     \"promotions\": %" PRIu64 ", \"ae_pulls\": %" PRIu64
-        ", \"read_fallbacks\": %" PRIu64 ", \"lock_reclaims\": %" PRIu64 "}",
-        first_row ? "" : ",\n", prof.name, sh.images, sh.ops,
-        get_h.quantile(0.50), get_h.quantile(0.99), get_h.quantile(0.999),
-        put_h.quantile(0.50), put_h.quantile(0.99), put_h.quantile(0.999),
-        rec.pre_p99, rec.steady_window_p99, rec.post_steady_window_p99,
-        rec.worst_window_p99, static_cast<std::int64_t>(rec.recovery_ns),
-        a.lost,
-        deterministic ? 0 : 1, a.under_replicated, acked_ratio, a.promotions,
-        a.ae_pulls, a.read_fallbacks, a.lock_reclaims);
-    rows_json += row;
-    first_row = false;
+    rows.push(
+        bench::Record().add("machine", prof.name).add("images", sh.images)
+            .add("reps", sh.ops).add("get_p50_ns", get_h.quantile(0.50))
+            .add("get_p99_ns", get_h.quantile(0.99))
+            .add("get_p999_ns", get_h.quantile(0.999))
+            .add("put_p50_ns", put_h.quantile(0.50))
+            .add("put_p99_ns", put_h.quantile(0.99))
+            .add("put_p999_ns", put_h.quantile(0.999))
+            .add("pre_kill_p99_ns", rec.pre_p99)
+            .add("steady_window_p99_ns", rec.steady_window_p99)
+            .add("post_steady_window_p99_ns", rec.post_steady_window_p99)
+            .add("worst_window_p99_ns", rec.worst_window_p99)
+            .add("recovery_p99_ns", rec.recovery_ns).add("lost_acked", a.lost)
+            .add("determinism_mismatch", deterministic ? 0 : 1)
+            .add("under_replicated_final", a.under_replicated)
+            .add("acked_ratio", acked_ratio, 6)
+            .add("promotions", a.promotions).add("ae_pulls", a.ae_pulls)
+            .add("read_fallbacks", a.read_fallbacks)
+            .add("lock_reclaims", a.lock_reclaims));
   }
 
   if (json_path != nullptr) {
-    FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"dht_serve\",\n  \"unit\": \"ns\",\n"
-                 "  \"seed\": %" PRIu64 ",\n  \"machines\": [\n%s\n  ]\n}\n",
-                 kSeed, rows_json.c_str());
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+    std::printf("\n");
+    bench::Record().add("bench", "dht_serve").add("unit", "ns")
+        .add("seed", kSeed).add("machines", std::move(rows))
+        .write(json_path);
   }
 
-  if (g_failures > 0) {
-    std::printf("\nDHT SERVE FAILED: %d invariant violations\n", g_failures);
+  if (bench::check_failures() > 0) {
+    std::printf("\nDHT SERVE FAILED: %d invariant violations\n",
+                bench::check_failures());
     return 1;
   }
   std::printf("\nDHT SERVE OK: all availability invariants held\n");

@@ -15,10 +15,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 
 #include "apps/driver.hpp"
 #include "apps/himeno.hpp"
+#include "bench_util.hpp"
 #include "net/profiles.hpp"
 #include "shmem/heap.hpp"
 #include "shmem/world.hpp"
@@ -238,41 +238,30 @@ int run_json(const char* path) {
               him.wall_ms, static_cast<unsigned long long>(him.events),
               him.mflops);
   std::fflush(stdout);
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "\"bench\": \"engine_micro\",\n"
-      "\"unit\": \"mixed\",\n"
-      "\"higher_is_better\": [\"events_per_sec\", \"switches_per_sec\"],\n"
-      "\"queue\": {\"nevents\": 100000, \"events_per_sec\": %.0f, "
-      "\"steady_heap_slabs\": %llu},\n"
-      "\"fiber\": {\"switches_per_sec\": %.0f},\n"
-      "\"barrier_storm\": {\"images\": %d, \"reps\": 4, \"wall_ms\": %.1f, "
-      "\"events\": %llu},\n"
-      "\"himeno_smoke\": {\"images\": %d, \"wall_ms\": %.1f, "
-      "\"events\": %llu, \"mflops\": %.1f}\n"
-      "}\n",
-      q.events_per_sec, static_cast<unsigned long long>(q.steady_heap_slabs),
-      sw, kScale, storm.wall_ms,
-      static_cast<unsigned long long>(storm.events), kScale, him.wall_ms,
-      static_cast<unsigned long long>(him.events), him.mflops);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  using bench::Record;
+  Record().add("bench", "engine_micro").add("unit", "mixed")
+      .add("higher_is_better",
+           Record::array().push("events_per_sec").push("switches_per_sec"))
+      .add("queue", Record().add("nevents", 100000)
+                        .add("events_per_sec", q.events_per_sec, 0)
+                        .add("steady_heap_slabs", q.steady_heap_slabs))
+      .add("fiber", Record().add("switches_per_sec", sw, 0))
+      .add("barrier_storm", Record().add("images", kScale).add("reps", 4)
+                                .add("wall_ms", storm.wall_ms, 1)
+                                .add("events", storm.events))
+      .add("himeno_smoke", Record().add("images", kScale)
+                               .add("wall_ms", him.wall_ms, 1)
+                               .add("events", him.events)
+                               .add("mflops", him.mflops, 1))
+      .write(path);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      return run_json(argv[i + 1]);
-    }
+  if (const char* path = bench::flag_value(argc, argv, "--json")) {
+    return run_json(path);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

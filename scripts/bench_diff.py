@@ -19,19 +19,26 @@ Direction (is bigger better?) is resolved per leaf:
   * otherwise the file's top-level "unit" decides: a time unit
     (ns/us/ms/s) means lower is better, anything else higher.
 
-The "higher_is_better" array itself is bench metadata, not a metric; it
-is excluded from the leaf walk on both sides.
-
 Per-metric tolerance overrides: a top-level "tolerances" object in the
 baseline maps a leaf KEY (the path tail, e.g. "rtt_8b_ns") to the allowed
 fractional worsening for every leaf with that key, replacing --tolerance
 for those metrics only. Use it for metrics that are legitimately noisier
-than the rest of the file (e.g. a p99 under a seeded fault plan). Like
-"higher_is_better", the block is metadata and is excluded from the walk.
+than the rest of the file (e.g. a p99 under a seeded fault plan).
+
+Bounds: a top-level "bounds" object in the baseline maps a leaf KEY to an
+inclusive {"min": x} and/or {"max": y}, applied to every leaf with that key
+in the NEW file, whatever the baseline holds. A value outside its bound is
+a regression. This is where a harness's single-metric floors and ceilings
+live (e.g. "allreduce8_speedup_64": {"min": 2.0}). A malformed block, or a
+key that matches no numeric leaf of the new file, is an error, so a typo
+cannot make a gate vacuous.
+
+The three blocks (higher_is_better, tolerances, bounds) are metadata, not
+metrics: they are excluded from the leaf walk on both sides.
 
 --selftest runs the built-in unit checks (tempfile fixtures) and exits;
-scripts/ci.sh invokes it so a broken diff gate fails loudly instead of
-silently passing regressions.
+the test suite and scripts/ci.sh invoke it so a broken diff gate fails
+loudly instead of silently passing regressions.
 
 Axis/config leaves (bytes, images, reps, ...) are compared for identity:
 if the new file benchmarks a different shape, the diff is meaningless and
@@ -56,6 +63,7 @@ LOWER_BETTER_HINTS = ("latency", "elapsed", "time", "_ns", "_us", "_ms")
 HIGHER_BETTER_HINTS = ("speedup", "bandwidth", "mflops", "mbs", "ratio",
                        "geomean")
 TIME_UNITS = {"ns", "us", "ms", "s", "usec", "nsec", "msec"}
+METADATA_KEYS = ("higher_is_better", "tolerances", "bounds")
 
 
 def leaves(node, path=""):
@@ -84,6 +92,32 @@ def lower_is_better(path, default_lower, higher_keys):
 def last_key(path):
     tail = path.rsplit(".", 1)[-1]
     return tail.split("[", 1)[0]
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def valid_bounds(bounds):
+    """True when every entry is a non-empty {"min"/"max": number} object."""
+    return isinstance(bounds, dict) and all(
+        isinstance(b, dict) and b and set(b) <= {"min", "max"} and
+        all(is_number(v) for v in b.values())
+        for b in bounds.values())
+
+
+def check_bounds(bounds, new_leaves):
+    """(regressions, errors): the leaves outside their bound, and the
+    bounds keys that no numeric leaf of the new file carries."""
+    outside, matched = [], set()
+    for path, val in new_leaves.items():
+        b = bounds.get(last_key(path))
+        if b is not None and is_number(val):
+            matched.add(last_key(path))
+            if not b.get("min", val) <= val <= b.get("max", val):
+                outside.append(f"{path}: {val} outside its bound {b}")
+    return outside, [f"bounds key {k!r} matches no numeric leaf"
+                     for k in sorted(set(bounds) - matched)]
 
 
 def selftest():
@@ -140,6 +174,33 @@ def selftest():
         ("zero tolerance 1-unit worse",
          run(base, {**base, "bw_mbs": 99}, ["--tolerance", "0"]), 1),
     ]
+    # Bounds gate the new file's values whatever the baseline holds, so
+    # these cases run at a tolerance wide enough to admit every move.
+    bounded = {"unit": "ns", "bounds": {"speedup": {"min": 2, "max": 10}},
+               "rows": [{"speedup": 3}, {"speedup": 4}]}
+
+    def speedups(a, b):
+        rows = [{"speedup": a}, {"speedup": b}]
+        return run(bounded, {**bounded, "rows": rows}, ["--tolerance", "99"])
+
+    def with_bounds(b):
+        return run({**bounded, "bounds": b}, dict(bounded))
+
+    checks += [
+        ("bounds hold", run(bounded, dict(bounded)), 0),
+        ("bound min violated", speedups(1.9, 4), 1),
+        ("bound max violated", speedups(3, 10.5), 1),
+        # A key-wide bound reaches every leaf with that key.
+        ("bound hits a later row", speedups(3, 1), 1),
+        ("bounds inclusive", speedups(2, 10), 0),
+        ("malformed bounds rejected", with_bounds({"speedup": {"lo": 2}}), 1),
+        ("empty bound rejected", with_bounds({"speedup": {}}), 1),
+        ("unmatched bounds key rejected",
+         with_bounds({"speedpu": {"min": 2}}), 1),
+        # The block is baseline metadata: a new file without it diffs clean.
+        ("bounds absent from new file",
+         run(bounded, {k: v for k, v in bounded.items() if k != "bounds"}), 0),
+    ]
     failed = [name for name, got, want in checks if got != want]
     for name, got, want in checks:
         if got != want:
@@ -171,20 +232,22 @@ def main():
         print("bench_diff ERROR: top-level higher_is_better must be a list",
               file=sys.stderr)
         return 1
-    base.pop("higher_is_better", None)
-    new.pop("higher_is_better", None)
     tolerances = base.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in tolerances.values()):
+            is_number(v) for v in tolerances.values()):
         print("bench_diff ERROR: top-level tolerances must map metric keys "
               "to numbers", file=sys.stderr)
         return 1
-    base.pop("tolerances", None)
-    new.pop("tolerances", None)
+    bounds = base.get("bounds", {})
+    if not valid_bounds(bounds):
+        print("bench_diff ERROR: top-level bounds must map metric keys to "
+              '{"min": x} and/or {"max": y}', file=sys.stderr)
+        return 1
+    for meta in METADATA_KEYS:
+        base.pop(meta, None)
+        new.pop(meta, None)
     new_leaves = dict(leaves(new))
-    errors = []
-    regressions = []
+    regressions, errors = check_bounds(bounds, new_leaves)
     improvements = 0
     compared = 0
 
@@ -202,11 +265,11 @@ def main():
                 f"missing from {args.new}")
             continue
         nval = new_leaves[path]
-        if not isinstance(bval, (int, float)) or isinstance(bval, bool):
+        if not is_number(bval):
             if bval != nval:
                 errors.append(f"{path}: label changed {bval!r} -> {nval!r}")
             continue
-        if not isinstance(nval, (int, float)) or isinstance(nval, bool):
+        if not is_number(nval):
             errors.append(f"{path}: numeric -> non-numeric {nval!r}")
             continue
         if last_key(path) in AXIS_KEYS:
@@ -236,7 +299,7 @@ def main():
     for r in regressions:
         print(f"bench_diff REGRESSION: {r}", file=sys.stderr)
     status = 1 if errors or regressions else 0
-    print(f"bench_diff: {compared} metrics compared, "
+    print(f"bench_diff: {compared} metrics compared, {len(bounds)} bounds, "
           f"{len(regressions)} regressions, {improvements} improvements, "
           f"{len(errors)} errors "
           f"({args.baseline} vs {args.new}, tol {args.tolerance:.0%})")

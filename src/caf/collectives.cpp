@@ -53,7 +53,7 @@ void CollectiveEngine::init() {
   // banks. An image running only small collectives touches the head alone
   // — one page at the usual node and machine sizes — instead of a page per
   // broadcast bank plus the pages its scattered cells fell on.
-  const std::size_t depth = static_cast<std::size_t>(std::max(1, opts_.pipe_depth));
+  const std::size_t depth = static_cast<std::size_t>(kPipeDepth);
   const auto levels = static_cast<std::size_t>(levels_);
   const auto members = static_cast<std::size_t>(node_size_);
   const auto rounds = static_cast<std::size_t>(rd_rounds_);
@@ -87,10 +87,10 @@ void CollectiveEngine::init() {
   carve((kPageBytes - (total - cells_bytes) % kPageBytes) % kPageBytes);
   const std::size_t bc_slot_rel = carve(kBcBanks * kSlotBytes);
   const std::size_t tree_slot_rel = carve(levels * kSlotBytes);
-  const std::size_t gather_slot_rel = carve(members * opts_.rd_max_bytes);
-  const std::size_t rd_slot_rel = carve(rounds * opts_.rd_max_bytes);
-  const std::size_t pd_bank_rel = carve(depth * opts_.pipe_chunk);
-  const std::size_t pu_bank_rel = carve(2 * depth * opts_.pipe_chunk);
+  const std::size_t gather_slot_rel = carve(members * kRdMaxBytes);
+  const std::size_t rd_slot_rel = carve(rounds * kRdMaxBytes);
+  const std::size_t pd_bank_rel = carve(depth * kPipeChunk);
+  const std::size_t pu_bank_rel = carve(2 * depth * kPipeChunk);
   staging_bytes_ = total;
   staging_off_ = conduit_.allocate(total);
   const std::uint64_t base = staging_off_;
@@ -219,7 +219,7 @@ CollAlgo CollectiveEngine::pick_broadcast(std::size_t nbytes) const {
     return CollAlgo::kBinomial;
   }
   const net::SwProfile& sw = conduit_.sw();
-  const int k = std::max(2, opts_.knomial_radix);
+  const int k = kKnomialRadix;
   int depth_k = 0;
   for (long long covered = 1; covered < num_nodes_; covered *= k) ++depth_k;
   const double binomial = ceil_log2(n_) * inter_hop(nbytes);
@@ -232,13 +232,13 @@ CollAlgo CollectiveEngine::pick_broadcast(std::size_t nbytes) const {
 
 CollAlgo CollectiveEngine::pick_reduce(std::size_t nbytes) const {
   if (nbytes > kSlotBytes) return CollAlgo::kPipelined;
-  const bool small = nbytes <= opts_.rd_max_bytes;
+  const bool small = nbytes <= kRdMaxBytes;
   if (!opts_.hierarchical || node_size_ <= 1 || num_nodes_ <= 1) {
     // A flat machine view: recursive doubling halves the round count of
     // reduce-then-broadcast for payloads that fit its slots.
     return small ? CollAlgo::kRecursiveDoubling : CollAlgo::kBinomial;
   }
-  if (!small) return CollAlgo::kBinomial;  // gather slots cap at rd_max_bytes
+  if (!small) return CollAlgo::kBinomial;  // gather slots cap at kRdMaxBytes
   const net::SwProfile& sw = conduit_.sw();
   const int nm = node_size_;
   const double two_level =
@@ -254,7 +254,7 @@ CollAlgo CollectiveEngine::pick_reduce(std::size_t nbytes) const {
 // ---------------------------------------------------------------------------
 
 std::vector<int> CollectiveEngine::knomial_children(int v, int count) const {
-  const int k = std::max(2, opts_.knomial_radix);
+  const int k = kKnomialRadix;
   // Position of v's lowest nonzero base-k digit bounds the children: v may
   // spawn v + d*k^j for every j below it. Emit larger subtrees first so the
   // deepest chains start earliest.
@@ -286,7 +286,7 @@ std::vector<int> CollectiveEngine::knomial_children(int v, int count) const {
 }
 
 int CollectiveEngine::knomial_parent(int v) const {
-  const int k = std::max(2, opts_.knomial_radix);
+  const int k = kKnomialRadix;
   if (v == 0) return -1;
   long long p = 1;
   while ((v / p) % k == 0) p *= k;
@@ -348,7 +348,7 @@ void CollectiveEngine::broadcast(void* data, std::size_t nbytes, int root0) {
   ++state().tele.broadcasts;
   CollAlgo algo = opts_.broadcast == CollAlgo::kAuto ? pick_broadcast(nbytes)
                                                      : opts_.broadcast;
-  if (algo == CollAlgo::kPipelined && nbytes > opts_.pipe_chunk) {
+  if (algo == CollAlgo::kPipelined && nbytes > kPipeChunk) {
     pipe_bcast(data, nbytes, root0, next_gen());
     return;
   }
@@ -474,15 +474,15 @@ void CollectiveEngine::allreduce(
   const std::size_t nbytes = nelems * elem;
   CollAlgo algo =
       opts_.reduce == CollAlgo::kAuto ? pick_reduce(nbytes) : opts_.reduce;
-  if (algo == CollAlgo::kPipelined && nbytes > opts_.pipe_chunk &&
-      elem <= opts_.pipe_chunk) {
+  if (algo == CollAlgo::kPipelined && nbytes > kPipeChunk &&
+      elem <= kPipeChunk) {
     pipe_allreduce(data, nelems, elem, comb, next_gen());
     return;
   }
   if (algo == CollAlgo::kPipelined) algo = CollAlgo::kBinomial;
   std::size_t limit = kSlotBytes;
   if (algo == CollAlgo::kTwoLevel || algo == CollAlgo::kRecursiveDoubling) {
-    limit = opts_.rd_max_bytes;  // their staging slots cap at rd_max_bytes
+    limit = kRdMaxBytes;  // their staging slots cap at kRdMaxBytes
   }
   if (elem > limit) {
     algo = CollAlgo::kBinomial;
@@ -576,7 +576,7 @@ void CollectiveEngine::rd_allreduce(
   const int G = static_cast<int>(group.size());
   if (G <= 1) return;
   const std::size_t nbytes = nelems * elem;
-  assert(nbytes <= opts_.rd_max_bytes);
+  assert(nbytes <= kRdMaxBytes);
   int g2 = 1;
   while (g2 * 2 <= G) g2 *= 2;
   const int extra = G - g2;
@@ -636,7 +636,7 @@ void CollectiveEngine::reduce_two_level(
     void* data, std::size_t nelems, std::size_t elem,
     const std::function<void(void*, const void*)>& comb, std::int64_t gen) {
   const std::size_t nbytes = nelems * elem;
-  assert(nbytes <= opts_.rd_max_bytes);
+  assert(nbytes <= kRdMaxBytes);
   const int my_node = node_of(me());
   const int base = my_node * node_size_;
   const int nm = node_members(my_node);
@@ -700,10 +700,10 @@ std::int64_t chunk_mark(std::int64_t gen, std::size_t c) {
 
 void CollectiveEngine::pipe_bcast(void* data, std::size_t nbytes, int root0,
                                   std::int64_t gen) {
-  const std::size_t cb = opts_.pipe_chunk;
+  const std::size_t cb = kPipeChunk;
   const std::size_t C = (nbytes + cb - 1) / cb;
   assert(C < (std::size_t{1} << 20));
-  const int D = std::max(1, opts_.pipe_depth);
+  const int D = kPipeDepth;
   const int vrank = (me() - root0 + n_) % n_;
   const BinTree t = bin_tree(vrank, n_);
   auto phys = [&](int v) { return (v + root0) % n_; };
@@ -754,11 +754,11 @@ void CollectiveEngine::pipe_allreduce(
     const std::function<void(void*, const void*)>& comb, std::int64_t gen) {
   const std::size_t nbytes = nelems * elem;
   const std::size_t chunk_elems =
-      std::max<std::size_t>(1, opts_.pipe_chunk / elem);
+      std::max<std::size_t>(1, kPipeChunk / elem);
   const std::size_t cb = chunk_elems * elem;
   const std::size_t C = (nbytes + cb - 1) / cb;
   assert(C < (std::size_t{1} << 20));
-  const int D = std::max(1, opts_.pipe_depth);
+  const int D = kPipeDepth;
   const BinTree t = bin_tree(me(), n_);
   auto* bytes = static_cast<std::byte*>(data);
   // Up phase: children stream subtree-combined chunks into per-child banks;

@@ -77,14 +77,16 @@ enum class CollAlgo {
   kPipelined,
 };
 
+/// Fixed shape of the collectives engine's trees and staging areas.
+inline constexpr int kKnomialRadix = 4;  ///< inter-node leader-tree radix
+inline constexpr std::size_t kRdMaxBytes = 2048;  ///< recursive-doubling cap
+inline constexpr std::size_t kPipeChunk = 8192;   ///< pipelined segment size
+inline constexpr int kPipeDepth = 4;  ///< in-flight segments per tree edge
+
 /// Tuning for the hierarchical collectives engine.
 struct CollOptions {
   CollAlgo broadcast = CollAlgo::kAuto;  ///< force a broadcast arm
   CollAlgo reduce = CollAlgo::kAuto;     ///< force a reduction arm
-  int knomial_radix = 4;                 ///< inter-node leader-tree radix
-  std::size_t rd_max_bytes = 2048;       ///< recursive-doubling payload cap
-  std::size_t pipe_chunk = 8192;         ///< pipelined segment size
-  int pipe_depth = 4;                    ///< in-flight segments per tree edge
   /// Data put followed by flag put with no quiet between them (per-target
   /// completion via in-order same-pair delivery). False restores the
   /// pre-engine put+quiet+flag sequence — the ablation baseline.
@@ -122,7 +124,7 @@ class CollectiveEngine {
   void init();
 
   /// Whole-payload broadcast from 0-based `root0`; the engine owns chunking
-  /// and, above pipe_chunk, pipelining.
+  /// and, above kPipeChunk, pipelining.
   void broadcast(void* data, std::size_t nbytes, int root0);
 
   /// Whole-payload allreduce; `comb(a, b)` folds one element `b` into `a`
@@ -358,7 +360,7 @@ class CollectiveEngine {
                     const std::function<void(void*, const void*)>& comb,
                     std::int64_t gen);
 
-  // ---- pipelined arms (payload > pipe_chunk) ----
+  // ---- pipelined arms (payload > kPipeChunk) ----
   /// Contiguous-range binary tree: subtree over [lo,hi] is rooted at lo,
   /// children cover [lo+1,mid] and [mid+1,hi]. Ranges are contiguous, so
   /// subtrees cluster on nodes (ranks are node-contiguous) and a parent
@@ -404,28 +406,28 @@ class CollectiveEngine {
     return tree_flag_off_ + static_cast<std::uint64_t>(level) * 8;
   }
   std::uint64_t gather_slot(int idx, std::size_t nbytes) const {
-    return slot_of(gather_twin_off_, gather_slot_off_, opts_.rd_max_bytes,
+    return slot_of(gather_twin_off_, gather_slot_off_, kRdMaxBytes,
                    static_cast<std::uint64_t>(idx), nbytes);
   }
   std::uint64_t gather_flag(int idx) const {
     return gather_flag_off_ + static_cast<std::uint64_t>(idx) * 8;
   }
   std::uint64_t rd_slot(int r, std::size_t nbytes) const {
-    return slot_of(rd_twin_off_, rd_slot_off_, opts_.rd_max_bytes,
+    return slot_of(rd_twin_off_, rd_slot_off_, kRdMaxBytes,
                    static_cast<std::uint64_t>(r), nbytes);
   }
   std::uint64_t rd_flag(int r) const {
     return rd_flag_off_ + static_cast<std::uint64_t>(r) * 8;
   }
   std::uint64_t pd_bank(int slot) const {
-    return pd_bank_off_ + static_cast<std::uint64_t>(slot) * opts_.pipe_chunk;
+    return pd_bank_off_ + static_cast<std::uint64_t>(slot) * kPipeChunk;
   }
   std::uint64_t pu_bank(int child, int slot) const {
     return pu_bank_off_ +
            (static_cast<std::uint64_t>(child) *
-                static_cast<std::uint64_t>(opts_.pipe_depth) +
+                static_cast<std::uint64_t>(kPipeDepth) +
             static_cast<std::uint64_t>(slot)) *
-               opts_.pipe_chunk;
+               kPipeChunk;
   }
 
   Conduit& conduit_;

@@ -125,7 +125,7 @@ void Runtime::init() {
     // Carve the per-image write-combining chunk out of the managed slab so
     // staged payloads live in registered (remotely-accessible) memory, like
     // the bounce buffers a real runtime would register with the NIC.
-    st.agg_chunk = nonsym_alloc(opts_.rma.agg_chunk_bytes);
+    st.agg_chunk = nonsym_alloc(kAggChunkBytes);
     st.agg_recs.reserve(64);
   }
   conduit_.barrier();
@@ -406,7 +406,6 @@ void Runtime::agg_flush() {
 }
 
 void Runtime::rma_fence() {
-  ++per_image_[me()].stats.fences;
   obs::Span sp(obs::Cat::kFence);
   if (rpc_engine_) rpc_engine_->progress();  // fence is an RPC progress point
   agg_flush();
@@ -415,7 +414,6 @@ void Runtime::rma_fence() {
 
 int Runtime::sync_memory_stat() {
   require_init();
-  ++per_image_[me()].stats.fences;
   obs::Span sp(obs::Cat::kFence);
   int stat = kStatOk;
   // Flush and complete independently: a dead staged-chunk target must not
@@ -437,10 +435,10 @@ int Runtime::sync_memory_stat() {
 bool Runtime::stage_put(int rank0, std::uint64_t dst_off, const void* src,
                         std::size_t n) {
   if (!opts_.rma.write_combining || !per_image_[me()].agg_chunk) return false;
-  if (n == 0 || n > opts_.rma.agg_max_put) return false;
+  if (n == 0 || n > kAggMaxPut) return false;
   auto& img = per_image_[me()];
   if (!img.agg_recs.empty() && img.agg_target != rank0) agg_flush();
-  if (img.agg_used + n > opts_.rma.agg_chunk_bytes) agg_flush();
+  if (img.agg_used + n > kAggChunkBytes) agg_flush();
   conduit_.engine().advance(kAggStageCpuNs);
   std::byte* stage = local_addr(img.agg_chunk.offset());
   std::memcpy(stage + img.agg_used, src, n);
@@ -456,7 +454,7 @@ bool Runtime::stage_put(int rank0, std::uint64_t dst_off, const void* src,
   img.agg_target = rank0;
   img.agg_used += n;
   ++img.stats.agg_staged;
-  if (img.agg_used >= opts_.rma.agg_chunk_bytes) agg_flush();
+  if (img.agg_used >= kAggChunkBytes) agg_flush();
   return true;
 }
 
@@ -822,6 +820,7 @@ bool Runtime::try_lock(CoLock lck, int image) {
     return false;
   }
   st.held.emplace(key, qn);
+  ++st.stats.locks_acquired;
   return true;
 }
 

@@ -64,14 +64,17 @@ enum class CompletionMode {
              ///< in-order delivery, and gets flush pending puts first.
 };
 
-/// Tuning for the nonblocking RMA pipeline (tentpole of this PR).
+/// Write-combining stage shape: the staging watermark per image, and the
+/// largest put the stage absorbs (larger puts bypass it).
+inline constexpr std::size_t kAggChunkBytes = 4096;
+inline constexpr std::size_t kAggMaxPut = 512;
+
+/// Tuning for the nonblocking RMA pipeline.
 struct RmaOptions {
   CompletionMode completion = CompletionMode::kEager;
   /// Coalesce small puts to the same image into a staging chunk carved from
   /// the managed slab, shipped as one scatter message (needs kDeferred).
   bool write_combining = false;
-  std::size_t agg_chunk_bytes = 4096;  ///< staging watermark per image
-  std::size_t agg_max_put = 512;       ///< larger puts bypass the stage
   /// Merge adjacent innermost runs in strided transfers into one message.
   bool run_coalescing = true;
 };
@@ -162,8 +165,6 @@ struct ImageStats {
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t strided_puts = 0;   // 1-D iput calls issued
-  std::uint64_t strided_gets = 0;
-  std::uint64_t amos = 0;
   std::uint64_t put_bytes = 0;
   std::uint64_t get_bytes = 0;
   std::uint64_t locks_acquired = 0;
@@ -172,7 +173,6 @@ struct ImageStats {
   std::uint64_t agg_staged = 0;     // puts absorbed by the staging chunk
   std::uint64_t agg_flushes = 0;    // scatter messages the chunk emitted
   std::uint64_t coalesced_runs = 0; // strided runs merged into a neighbor
-  std::uint64_t fences = 0;         // completion points reached
 };
 
 /// Handle to a coarray lock variable (a symmetric 8-byte tail per image).

@@ -67,7 +67,7 @@ double plan_cost(const net::SwProfile& sw, bool hw, const SectionDesc& d,
     if (!is_put || !rma.write_combining) return 1e300;
     const double run_bytes =
         static_cast<double>(contig ? d.count[0] : 1) * elem_bytes;
-    if (run_bytes == 0 || run_bytes > static_cast<double>(rma.agg_max_put)) {
+    if (run_bytes == 0 || run_bytes > static_cast<double>(kAggMaxPut)) {
       return 1e300;
     }
     const double nrecs =
@@ -76,7 +76,7 @@ double plan_cost(const net::SwProfile& sw, bool hw, const SectionDesc& d,
     const double wire = static_cast<double>(d.total) * elem_bytes +
                         nrecs * fabric::kScatterRecWire;
     const double msgs =
-        std::ceil(wire / static_cast<double>(rma.agg_chunk_bytes));
+        std::ceil(wire / static_cast<double>(kAggChunkBytes));
     return nrecs * static_cast<double>(kAggStageCpuNs) +
            msgs * static_cast<double>(sw.per_msg_gap) + wire / link;
   }
@@ -307,7 +307,6 @@ StridedStats Runtime::get_strided(void* dst_packed, int image,
       ++stats.messages;
     });
   }
-  istats.strided_gets += stats.messages;
   istats.get_bytes += stats.elements * elem_bytes;
   return stats;
 }

@@ -176,47 +176,16 @@ CoLock Runtime::make_lock() {
 }
 
 void Runtime::lock(CoLock lck, int image) {
-  if (resilient_) {
-    bool reclaimed = false;
-    if (ticket_lock(lck, image, &reclaimed) != kStatOk) {
-      throw std::runtime_error("craycaf lock: lock image has failed");
-    }
-    return;
-  }
-  // Packed centralized ticket lock: one 64-bit word holds the next ticket
-  // (high 32 bits) and now_serving (low 32 bits), so the uncontended
-  // acquire is a single NIC fetch-add. Under contention every waiter must
-  // keep *remotely polling* the word with atomic reads that serialize on
-  // the target NIC's AMO unit — the behaviour the MCS queue's local
-  // spinning avoids, and the source of Figure 8's gap.
-  constexpr std::int64_t kTicketOne = std::int64_t{1} << 32;
-  const std::int64_t grabbed = ctx_->afadd(image - 1, lck.off, kTicketOne);
-  const std::int64_t my_ticket = grabbed >> 32;
-  std::int64_t serving = grabbed & 0xffffffff;
-  // Poll interval ~1.5x the AMO round-trip to the lock's home, scaled by
-  // queue distance to bound the poll storm.
-  const auto& mp = ctx_->domain().fabric().profile();
-  const bool local = ctx_->domain().fabric().same_node(me(), image - 1);
-  const sim::Time rt_est = ctx_->domain().sw().amo_overhead +
-                           2 * (local ? mp.local_latency : mp.hw_latency) +
-                           mp.nic_amo_gap;
-  while (serving != my_ticket) {
-    engine_.advance(rt_est *
-                    std::max<std::int64_t>(1, my_ticket - serving));
-    serving =
-        static_cast<std::int64_t>(ctx_->afadd(image - 1, lck.off, 0)) &
-        0xffffffff;
+  bool reclaimed = false;
+  if (ticket_lock(lck, image, &reclaimed) != kStatOk) {
+    throw std::runtime_error("craycaf lock: lock image has failed");
   }
 }
 
 void Runtime::unlock(CoLock lck, int image) {
-  if (resilient_) {
-    if (ticket_unlock(lck, image) == kStatFailedImage) {
-      throw std::runtime_error("craycaf unlock: lock image has failed");
-    }
-    return;
+  if (ticket_unlock(lck, image) == kStatFailedImage) {
+    throw std::runtime_error("craycaf unlock: lock image has failed");
   }
-  (void)ctx_->afadd(image - 1, lck.off, 1);  // bump now_serving
 }
 
 int Runtime::lock_stat(CoLock lck, int image) {
@@ -230,16 +199,40 @@ int Runtime::unlock_stat(CoLock lck, int image) {
   return ticket_unlock(lck, image);
 }
 
+sim::Time Runtime::poll_interval(int home) const {
+  // ~1.5x the AMO round-trip to the lock's home.
+  const auto& mp = ctx_->domain().fabric().profile();
+  const bool local = ctx_->domain().fabric().same_node(me(), home);
+  return ctx_->domain().sw().amo_overhead +
+         2 * (local ? mp.local_latency : mp.hw_latency) + mp.nic_amo_gap;
+}
+
 int Runtime::ticket_lock(CoLock lck, int image, bool* reclaimed) {
   const int home = image - 1;
   if (engine_.pe_failed(home)) return kStatFailedImage;
-  const std::int64_t ring = ctx_->npes() + 1;
-  const auto& mp = ctx_->domain().fabric().profile();
-  const bool local = ctx_->domain().fabric().same_node(me(), home);
-  const sim::Time rt_est = ctx_->domain().sw().amo_overhead +
-                           2 * (local ? mp.local_latency : mp.hw_latency) +
-                           mp.nic_amo_gap;
+  const sim::Time rt_est = poll_interval(home);
+  // Packed centralized ticket lock: one 64-bit word holds the next ticket
+  // (high 32 bits) and now_serving (low 32 bits), so the uncontended
+  // acquire is a single NIC fetch-add. Under contention every waiter must
+  // keep *remotely polling* the word with atomic reads that serialize on
+  // the target NIC's AMO unit — the behaviour the MCS queue's local
+  // spinning avoids, and the source of Figure 8's gap. The poll interval
+  // scales with queue distance to bound the poll storm.
   constexpr std::int64_t kTicketOne = std::int64_t{1} << 32;
+  if (!resilient_) {
+    const std::int64_t grabbed = ctx_->afadd(home, lck.off, kTicketOne);
+    const std::int64_t my_ticket = grabbed >> 32;
+    std::int64_t serving = grabbed & 0xffffffff;
+    while (serving != my_ticket) {
+      engine_.advance(rt_est *
+                      std::max<std::int64_t>(1, my_ticket - serving));
+      serving = static_cast<std::int64_t>(ctx_->afadd(home, lck.off, 0)) &
+                0xffffffff;
+    }
+    held_tickets_[static_cast<std::size_t>(me())][{lck.off, home}] = my_ticket;
+    return kStatOk;
+  }
+  const std::int64_t ring = ctx_->npes() + 1;
   auto slot_off = [&](std::int64_t ticket) {
     return lck.off + 16 +
            static_cast<std::uint64_t>(ticket % ring) * sizeof(std::int64_t);
@@ -293,7 +286,7 @@ int Runtime::ticket_lock(CoLock lck, int image, bool* reclaimed) {
                       std::max<std::int64_t>(1, my_ticket - serving));
       packed = ctx_->afadd(home, lck.off, 0);
     }
-    held_tickets_[static_cast<std::size_t>(me())][lck.off] = my_ticket;
+    held_tickets_[static_cast<std::size_t>(me())][{lck.off, home}] = my_ticket;
   } catch (const fabric::PeerFailedError&) {
     return kStatFailedImage;
   }
@@ -303,11 +296,15 @@ int Runtime::ticket_lock(CoLock lck, int image, bool* reclaimed) {
 int Runtime::ticket_unlock(CoLock lck, int image) {
   const int home = image - 1;
   auto& held = held_tickets_[static_cast<std::size_t>(me())];
-  const auto it = held.find(lck.off);
+  const auto it = held.find({lck.off, home});
   if (it == held.end()) return kStatUnlocked;
   const std::int64_t my_ticket = it->second;
   held.erase(it);
   if (engine_.pe_failed(home)) return kStatFailedImage;
+  if (!resilient_) {
+    (void)ctx_->afadd(home, lck.off, 1);  // bump now_serving
+    return kStatOk;
+  }
   const std::int64_t ring = ctx_->npes() + 1;
   const std::uint64_t my_slot =
       lck.off + 16 +

@@ -20,8 +20,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fabric/dmapp.hpp"
@@ -112,10 +113,15 @@ class Runtime {
                               "craycaf_wait_until");
   }
   int me() const;
-  /// Shared acquire path: returns kStatOk / kStatFailedImage; *reclaimed
-  /// set when this waiter's CAS bumped now_serving past a dead owner.
+  /// Shared acquire path of lock and lock_stat: returns kStatOk /
+  /// kStatFailedImage; *reclaimed set when this waiter's CAS bumped
+  /// now_serving past a dead owner. Without kills armed it is the packed
+  /// two-word ticket lock and never touches an owner ring.
   int ticket_lock(CoLock lck, int image, bool* reclaimed);
+  /// Shared release path of unlock and unlock_stat.
   int ticket_unlock(CoLock lck, int image);
+  /// Poll interval for a waiter on a lock homed at `home`.
+  sim::Time poll_interval(int home) const;
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::dmapp::Context> ctx_;
@@ -133,9 +139,12 @@ class Runtime {
   /// ring and the acquire path reclaims past dead owners. Off by default so
   /// fault-free runs keep the original layout and RMA sequence exactly.
   bool resilient_ = false;
-  /// Per-PE map lock offset -> outstanding ticket (resilient unlock needs
-  /// the ticket to retire its owner-ring slot).
-  std::vector<std::unordered_map<std::uint64_t, std::int64_t>> held_tickets_;
+  /// Per-PE map (lock offset, home PE) -> held ticket. Every acquire
+  /// records its ticket, so any mix of plain and stat= lock/unlock pairs
+  /// up; the resilient unlock also needs the ticket to retire its
+  /// owner-ring slot.
+  std::vector<std::map<std::pair<std::uint64_t, int>, std::int64_t>>
+      held_tickets_;
 
   // Internal layout at the base of every segment.
   static constexpr int kMaxRounds = fabric::Domain::kMaxRounds;

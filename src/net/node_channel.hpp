@@ -45,6 +45,9 @@ enum class NumaPlacement {
   kDomain0,      ///< one arena on domain 0 (naive allocator baseline)
 };
 
+/// Node-local messages up to this size ride the SPSC rings.
+inline constexpr std::size_t kRingMaxBytes = 512;
+
 /// Configuration of the node-local transport. Off by default; every layer
 /// that consults it treats `enabled == false` as "use the fabric path",
 /// keeping existing runs bit-identical.
@@ -52,7 +55,6 @@ struct NodeTransportOptions {
   bool enabled = false;
   int ring_slots = 64;               ///< slots per SPSC ring (>= 2)
   std::size_t slot_bytes = 128;      ///< payload per slot (one padded line pair)
-  std::size_t ring_max_bytes = 512;  ///< messages <= this ride the ring
   NumaPlacement placement = NumaPlacement::kLocalDomain;
 };
 
@@ -137,7 +139,7 @@ class NodeChannel {
            static_cast<sim::Time>(nrecs) * kElemGap;
   }
 
-  bool ring_eligible(std::size_t n) const { return n <= opts_.ring_max_bytes; }
+  bool ring_eligible(std::size_t n) const { return n <= kRingMaxBytes; }
   int slots_for(std::size_t n) const {
     const auto s = (n + opts_.slot_bytes - 1) / opts_.slot_bytes;
     return s == 0 ? 1 : static_cast<int>(s);

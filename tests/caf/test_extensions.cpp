@@ -78,6 +78,32 @@ TEST(Stats, LockAndSyncCounters) {
   });
 }
 
+// A successful try_lock is one acquisition, whichever lock path runs: the
+// plain MCS cell fault-free, the robust cell with kills armed.
+TEST(Stats, SuccessfulTryLockCountsOnce) {
+  for (const bool kills : {false, true}) {
+    net::FaultPlan plan;
+    if (kills) plan.kill_pe(3, 1'000'000);  // image 4, idle until it dies
+    Harness h(Stack::kShmemCray, 4, {}, 2 << 20, plan);
+    bool got = false;
+    std::uint64_t acquired = 0;
+    h.run([&] {
+      CoLock lck = h.rt().make_lock();
+      if (h.rt().this_image() == 4 && kills) {
+        for (;;) h.engine().advance(100'000);
+      }
+      if (h.rt().this_image() == 1) {
+        h.rt().reset_stats();
+        got = h.rt().try_lock(lck, 2);
+        acquired = h.rt().stats().locks_acquired;
+        h.rt().unlock(lck, 2);
+      }
+    });
+    EXPECT_TRUE(got) << (kills ? "kills armed" : "fault-free");
+    EXPECT_EQ(acquired, 1u) << (kills ? "kills armed" : "fault-free");
+  }
+}
+
 class CopySectionStacks : public ::testing::TestWithParam<Stack> {};
 INSTANTIATE_TEST_SUITE_P(Stacks, CopySectionStacks,
                          ::testing::ValuesIn(caftest::kAllStacks),

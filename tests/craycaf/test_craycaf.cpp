@@ -121,6 +121,57 @@ TEST(CrayCaf, TicketLockIsFair) {
   for (int i = 0; i < 6; ++i) EXPECT_EQ(order[i], i + 1);
 }
 
+// Fault-free, a lock is its two-word cell: lock_stat/unlock_stat take the
+// same packed ticket path as lock/unlock and write nothing past the cell.
+TEST(CrayCaf, StatLockStaysInsideItsCell) {
+  Harness h(4);
+  h.run([&] {
+    const CoLock lck = h.rt.make_lock();
+    const std::uint64_t next = h.rt.allocate(64);
+    auto* words = reinterpret_cast<std::int64_t*>(h.rt.local_addr(next));
+    for (int i = 0; i < 8; ++i) words[i] = 1000 + i;
+    h.rt.sync_all();
+    EXPECT_EQ(h.rt.lock_stat(lck, 1), kStatOk);
+    EXPECT_EQ(h.rt.unlock_stat(lck, 1), kStatOk);
+    h.rt.sync_all();
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(words[i], 1000 + i) << "image " << h.rt.this_image()
+                                    << ", word " << i;
+    }
+  });
+}
+
+// The plain and stat= forms pair up in any mix: each release frees the
+// lock for the next acquire. An image only acquires after the previous
+// release reported kStatOk, so a lock left held fails an assertion
+// instead of hanging the run.
+TEST(CrayCaf, PlainAndStatLockFormsMix) {
+  Harness h(4);
+  int plain_then_stat = -1, stat_lock = -1, stat_then_plain = -1;
+  h.run([&] {
+    const CoLock lck = h.rt.make_lock();
+    const int me = h.rt.this_image();
+    if (me == 2) {
+      h.rt.lock(lck, 1);
+      plain_then_stat = h.rt.unlock_stat(lck, 1);
+    }
+    h.rt.sync_all();
+    if (me == 3 && plain_then_stat == kStatOk) {
+      stat_lock = h.rt.lock_stat(lck, 1);
+      h.rt.unlock(lck, 1);
+    }
+    h.rt.sync_all();
+    if (me == 4 && stat_lock == kStatOk) {
+      h.rt.lock(lck, 1);
+      stat_then_plain = h.rt.unlock_stat(lck, 1);
+    }
+    h.rt.sync_all();
+  });
+  EXPECT_EQ(plain_then_stat, kStatOk);
+  EXPECT_EQ(stat_lock, kStatOk);
+  EXPECT_EQ(stat_then_plain, kStatOk);
+}
+
 TEST(CrayCaf, CoSumMatchesSerial) {
   for (int n : {1, 2, 5, 8, 13}) {
     Harness h(n);
